@@ -22,11 +22,11 @@ from .graphs import SimpleGraph, are_isomorphic, canonical_form, graph_from_form
 from .kneser import (
     FIXED_PRIME,
     PSeries,
+    _minimal_profile,
     augment_tree_lambda,
     is_admissible,
     kneser_psum,
     lambda_t,
-    lambda_t_tilde,
     pseries_eval,
     random_values,
     true_basis,
@@ -183,7 +183,7 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
             started = time.perf_counter()
             g6 = canonical_graph6(tree)
             classes = lambda_t(tree, 2)
-            tilde, profile = lambda_t_tilde(tree)
+            tilde, profile = _minimal_profile(classes)
             result = reconstruct_from_lambda_t(classes)
             ok = are_isomorphic(result.graph, tree)
             record = {

@@ -88,7 +88,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_trees(args.nmax, witness=args.witness)
     summary = report["summary"]
     if args.json:
-        _emit_json(report)
+        records = [
+            {key: value for key, value in rec.items() if key != "ms"}
+            for rec in report["records"]
+        ]
+        _emit_json({"summary": summary, "records": records})
     else:
         for rec in report["records"]:
             status = "ok" if rec["pass"] else "FAIL"
@@ -98,7 +102,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(
                 f"n={rec['n']} {rec['graph6']} classes={rec['lambda_t_size']}"
                 f" profile=({','.join(map(str, rec['min_profile']))})"
-                f" -> {rec['reconstructed']} {status}{extra} [{rec['ms']}ms]"
+                f" -> {rec['reconstructed']} {status}{extra}"
             )
         print(
             f"summary: trees={summary['trees']} failures={summary['failures']}"

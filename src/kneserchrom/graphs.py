@@ -27,7 +27,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 # Hard ceiling for canonicalisation / isomorphism tests.  Everything the
 # package verifies lives at or below 13 vertices (appending a pendant edge

@@ -64,11 +64,10 @@ from .generate import enumerate_trees
 from .graphs import (
     CapExceededError,
     Lambda,
+    Multigraph,
     SimpleGraph,
-    _UnionFind,
     automorphism_count,
     canonical_form,
-    connected_components,
     component_class_string,
     graph_components,
     graph_from_form,
@@ -79,6 +78,7 @@ from .graphs import (
     parse_form,
     singleton_class_string,
 )
+from .profiles import min_degree_sequence
 
 #: full subset expansions are enumerated only up to this many vertices
 PSUM_VERTEX_CAP = 7
@@ -135,6 +135,49 @@ def _search_order(g: SimpleGraph) -> tuple[list[int], list[list[int]]]:
     return order, earlier
 
 
+def _placements(g: SimpleGraph, blocks):
+    """Every bijection of V(G) onto the multiset ``blocks`` that puts
+    intersecting blocks on adjacent vertices, as sorted (vertex, block) pairs.
+
+    Vertices are placed in ``_search_order`` and distinct blocks tried in
+    sorted order, so the placements come in a fixed order.  Two necessary
+    conditions prune the search: a vertex of degree d needs a block whose
+    intersecting blocks can host d neighbours, and (threshold bipartite
+    Hall) the degrees in decreasing order must fit those host counts.
+    """
+    counts = Counter(blocks)
+    distinct = sorted(counts)
+    caps = [counts[b] for b in distinct]
+    sets = [set(b) for b in distinct]
+    inter = [[bool(sa & sb) for sb in sets] for sa in sets]
+    avail = [sum(c for c, meets in zip(caps, row) if meets) - 1 for row in inter]
+    degs = sorted(g.degrees(), reverse=True)
+    slots = sorted((a for a, c in zip(avail, caps) for _ in range(c)), reverse=True)
+    if any(d > a for d, a in zip(degs, slots)):
+        return
+
+    order, earlier = _search_order(g)
+    deg = g.degrees()
+    chosen: list[int] = []
+
+    def extend(i: int):
+        if i == len(order):
+            yield tuple(sorted((v, distinct[chosen[j]]) for j, v in enumerate(order)))
+            return
+        need = deg[order[i]]
+        for bi in range(len(distinct)):
+            if caps[bi] == 0 or avail[bi] < need:
+                continue
+            if all(inter[bi][chosen[j]] for j in earlier[i]):
+                caps[bi] -= 1
+                chosen.append(bi)
+                yield from extend(i + 1)
+                chosen.pop()
+                caps[bi] += 1
+
+    yield from extend(0)
+
+
 def is_admissible(lam: Lambda, g: SimpleGraph) -> AdmissibleWitness | None:
     """Decide whether the class of ``lam`` is admissible by ``g``.
 
@@ -146,51 +189,8 @@ def is_admissible(lam: Lambda, g: SimpleGraph) -> AdmissibleWitness | None:
         raise ValueError(
             f"block count {len(lam.blocks)} must equal vertex count {g.n}"
         )
-    distinct = sorted(set(lam.blocks))
-    caps = [0] * len(distinct)
-    index = {b: i for i, b in enumerate(distinct)}
-    for b in lam.blocks:
-        caps[index[b]] += 1
-    sets = [set(b) for b in distinct]
-    inter = [[bool(sa & sb) for sb in sets] for sa in sets]
-
-    # quick necessary condition: a vertex of degree d needs a block whose
-    # intersecting blocks can host d neighbours (threshold bipartite Hall)
-    avail = [
-        sum(caps[j] for j in range(len(distinct)) if inter[i][j]) - 1
-        for i in range(len(distinct))
-    ]
-    degs = sorted(g.degrees(), reverse=True)
-    slots = sorted((a for i, a in enumerate(avail) for _ in range(caps[i])), reverse=True)
-    if any(d > a for d, a in zip(degs, slots)):
-        return None
-
-    order, earlier = _search_order(g)
-    deg = g.degrees()
-    chosen: list[int] = []
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        need = deg[order[i]]
-        for bi in range(len(distinct)):
-            if caps[bi] == 0 or avail[bi] < need:
-                continue
-            if all(inter[bi][chosen[j]] for j in earlier[i]):
-                caps[bi] -= 1
-                chosen.append(bi)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-                caps[bi] += 1
-        return False
-
-    if not extend(0):
-        return None
-    assignment = tuple(
-        sorted((v, distinct[chosen[i]]) for i, v in enumerate(order))
-    )
-    return AdmissibleWitness(assignment)
+    assignment = next(_placements(g, lam.blocks), None)
+    return None if assignment is None else AdmissibleWitness(assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -290,35 +290,11 @@ def _component_weights(form: str, k: int) -> dict[str, int]:
     if k == 1:
         return {singleton_class_string(n): 1}
     g = SimpleGraph.from_edges(n, pairs)
-    _, earlier = _search_order(g)
     weights: dict[str, int] = {}
     for cls in sorted(_component_classes(form, k)):
-        _, block_pairs = parse_form(cls)
-        counts = Counter(tuple(b) for b in block_pairs)
-        distinct = sorted(counts)
-        caps = [counts[b] for b in distinct]
-        sets = [set(b) for b in distinct]
-        inter = [[bool(sa & sb) for sb in sets] for sa in sets]
-        total = 0
-        chosen: list[int] = []
-
-        def count(i: int) -> None:
-            nonlocal total
-            if i == n:
-                total += 1
-                return
-            for bi in range(len(distinct)):
-                if caps[bi] == 0:
-                    continue
-                if all(inter[bi][chosen[j]] for j in earlier[i]):
-                    caps[bi] -= 1
-                    chosen.append(bi)
-                    count(i + 1)
-                    chosen.pop()
-                    caps[bi] += 1
-
-        count(0)
-        assert total > 0, "admissible class with no realising function"
+        total = sum(1 for _ in _placements(g, parse_form(cls)[1]))
+        if total == 0:
+            raise RuntimeError("admissible class with no realising function")
         weights[cls] = total
     return weights
 
@@ -413,14 +389,25 @@ class PSeries:
         return PSeries.from_json_dict(data)
 
 
-def _subset_components(n: int, subset: list[tuple[int, int]]) -> list[list[int]]:
-    uf = _UnionFind(range(n))
-    for u, v in subset:
-        uf.union(u, v)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(uf.find(v), []).append(v)
-    return sorted(groups.values(), key=lambda vs: vs[0])
+def _spanning_classes(sub: SimpleGraph, k: int, witness: bool) -> dict[PClass, int]:
+    """Classes admissible by ``sub``, assembled from one class per component.
+
+    Each class carries the product of its components' witness counts (with
+    ``witness``; otherwise of ones), summed over the assembly choices.
+    """
+    partial: dict[PClass, int] = {(): 1}
+    for comp in graph_components(sub):
+        form = canonical_form(induced_subgraph(sub, comp))
+        if witness:
+            table = _component_weights(form, k)
+        else:
+            table = dict.fromkeys(_component_classes(form, k), 1)
+        nxt: dict[PClass, int] = defaultdict(int)
+        for cls, w in partial.items():
+            for comp_cls, wc in table.items():
+                nxt[tuple(sorted(cls + (comp_cls,)))] += w * wc
+        partial = dict(nxt)
+    return partial
 
 
 def _psum_subsets(
@@ -438,42 +425,12 @@ def _psum_subsets(
     union: set[PClass] = set()
     for mask in range(1 << len(edges)):
         subset = [edges[i] for i in range(len(edges)) if mask >> i & 1]
-        sign = -1 if bin(mask).count("1") & 1 else 1
-        tables = []
-        for comp in _subset_components(g.n, subset):
-            vs = {v: i for i, v in enumerate(comp)}
-            sub = SimpleGraph.from_edges(
-                len(comp), ((vs[u], vs[v]) for u, v in subset if u in vs and v in vs)
-            )
-            form = canonical_form(sub)
-            if witness:
-                tables.append(_component_weights(form, k))
-            else:
-                tables.append({c: 1 for c in _component_classes(form, k)})
-        if witness:
-            partial: dict[PClass, int] = {(): 1}
-            for table in tables:
-                nxt: dict[PClass, int] = defaultdict(int)
-                for cls, w in partial.items():
-                    for comp_cls, wc in table.items():
-                        nxt[tuple(sorted(cls + (comp_cls,)))] += w * wc
-                partial = dict(nxt)
-            for cls, w in partial.items():
-                terms[cls] += sign * w
-            if collect_union:
-                union.update(partial)
-        else:
-            assembled: set[PClass] = {()}
-            for table in tables:
-                assembled = {
-                    tuple(sorted(cls + (comp_cls,)))
-                    for cls in assembled
-                    for comp_cls in table
-                }
-            for cls in assembled:
-                terms[cls] += sign
-            if collect_union:
-                union.update(assembled)
+        sign = -1 if len(subset) & 1 else 1
+        assembled = _spanning_classes(SimpleGraph(g.n, frozenset(subset)), k, witness)
+        for cls, w in assembled.items():
+            terms[cls] += sign * w if witness else sign
+        if collect_union:
+            union.update(assembled)
     return {c: v for c, v in terms.items() if v}, union
 
 
@@ -486,66 +443,31 @@ def _tutte_10(form: str) -> int:
 
     Deletion-contraction with the (1,0) specialisation folded in: bridges
     contribute factor 1, any loop kills a branch, so contracting across a
-    parallel pair contributes nothing.
+    parallel pair contributes nothing.  Recurses on canonical forms, so
+    isomorphic minors share one cache entry.
     """
     n, pairs = parse_form(form)
-    counts = Counter(tuple(p) for p in pairs)
-    return _tutte_10_raw(n, tuple(sorted(counts.items())))
-
-
-def _tutte_10_raw(n: int, edges: tuple[tuple[tuple[int, int], int], ...]) -> int:
+    edges = Counter(pairs)
     if not edges:
         return 1 if n == 1 else 0
-    from .graphs import Multigraph
+    (u, v), mult = min(edges.items())
 
-    mg = Multigraph(n, edges)
-    form = canonical_form(mg)
-    return _tutte_10_memo(form)
+    def minor(n: int, edges: Counter) -> int:
+        return _tutte_10(canonical_form(Multigraph.from_pairs(n, edges.elements())))
 
-
-@lru_cache(maxsize=None)
-def _tutte_10_memo(form: str) -> int:
-    n, pairs = parse_form(form)
-    counts = Counter(tuple(p) for p in pairs)
-    edges = sorted(counts.items())
-    if not edges:
-        return 1 if n == 1 else 0
-    (u, v), mult = edges[0]
-
-    # deletion of one copy
     if mult > 1:
-        del_edges = [(e, m if e != (u, v) else m - 1) for e, m in edges]
-        deleted = _tutte_10_raw(n, tuple(del_edges))
-    else:
-        del_edges = [(e, m) for e, m in edges if e != (u, v)]
-        simple = SimpleGraph.from_edges(n, (e for e, _ in del_edges))
-        if not is_connected(simple):
-            deleted = None  # (u, v) is a bridge
-        else:
-            deleted = _tutte_10_raw(n, tuple(del_edges))
-
-    # contraction: merge v into u; any surviving (u, v) copy becomes a loop
-    if mult > 1:
-        contracted = 0
-    else:
-        merged: Counter = Counter()
-        for (a, b), m in edges:
-            if (a, b) == (u, v):
-                continue
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            a2, b2 = (a2, b2) if a2 < b2 else (b2, a2)
-            merged[(a2, b2)] += m
-        relabel = {w: (w if w < v else w - 1) for w in range(n) if w != v}
-        shifted = Counter()
-        for (a, b), m in merged.items():
-            a2, b2 = relabel[a], relabel[b]
-            shifted[(a2, b2) if a2 < b2 else (b2, a2)] += m
-        contracted = _tutte_10_raw(n - 1, tuple(sorted(shifted.items())))
-
-    if deleted is None:  # bridge: T = x * T(G/e), and x = 1
-        return contracted
-    return deleted + contracted
+        # contracting one copy turns the others into loops: only deletion counts
+        edges[(u, v)] -= 1
+        return minor(n, edges)
+    del edges[(u, v)]
+    # a bridge has no deletion term: T = x * T(G/e), and x = 1
+    deleted = minor(n, edges) if is_connected(SimpleGraph.from_edges(n, edges)) else 0
+    # contraction: merge v into u and close the gap left by v
+    merged: Counter = Counter()
+    for (a, b), m in edges.items():
+        a2, b2 = (u if w == v else w - (w > v) for w in (a, b))
+        merged[(a2, b2) if a2 < b2 else (b2, a2)] += m
+    return deleted + minor(n - 1, merged)
 
 
 def _set_partitions(items: list[int]):
@@ -594,7 +516,17 @@ def _psum_k1(g: SimpleGraph, collect_union: bool = False) -> tuple[dict[PClass, 
     return {c: v for c, v in terms.items() if v}, union
 
 
-_PSUM_CACHE: dict[tuple[str, int, str], "PSeries"] = {}
+@lru_cache(maxsize=None)
+def _psum_terms(form: str, k: int, coeffs: str) -> tuple[tuple[PClass, int], ...]:
+    """The series terms of the graph named by ``form``, as (class, coeff)
+    items, so that every caller builds its own dict from them."""
+    g = graph_from_form(form)
+    assert isinstance(g, SimpleGraph)
+    if k == 1:
+        terms, _ = _psum_k1(g)
+    else:
+        terms, _ = _psum_subsets(g, k, coeffs == "witness")
+    return tuple(terms.items())
 
 
 def kneser_psum(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> PSeries:
@@ -613,17 +545,7 @@ def kneser_psum(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> PSeries:
         raise CapExceededError(
             f"power-sum expansion capped at {PSUM_VERTEX_CAP} vertices (got {g.n})"
         )
-    key = (canonical_form(g), k, coeffs)
-    hit = _PSUM_CACHE.get(key)
-    if hit is not None:
-        return PSeries(g.n, k, coeffs, dict(hit.terms))
-    if k == 1:
-        terms, _ = _psum_k1(graph_from_form(key[0]))  # type: ignore[arg-type]
-    else:
-        terms, _ = _psum_subsets(graph_from_form(key[0]), k, coeffs == "witness")  # type: ignore[arg-type]
-    out = PSeries(g.n, k, coeffs, terms)
-    _PSUM_CACHE[key] = out
-    return PSeries(g.n, k, coeffs, dict(terms))
+    return PSeries(g.n, k, coeffs, dict(_psum_terms(canonical_form(g), k, coeffs)))
 
 
 def admissible_for_subgraph(
@@ -643,19 +565,8 @@ def admissible_for_subgraph(
         raise CapExceededError(
             f"class enumeration capped at {PSUM_VERTEX_CAP} vertices (got {g.n})"
         )
-    assembled: set[PClass] = {()}
-    for comp in _subset_components(g.n, subset):
-        vs = {v: i for i, v in enumerate(comp)}
-        sub = SimpleGraph.from_edges(
-            len(comp), ((vs[u], vs[v]) for u, v in subset if u in vs and v in vs)
-        )
-        classes = _component_classes(canonical_form(sub), k)
-        assembled = {
-            tuple(sorted(cls + (comp_cls,)))
-            for cls in assembled
-            for comp_cls in classes
-        }
-    return frozenset(assembled)
+    sub = SimpleGraph.from_edges(g.n, subset)
+    return frozenset(_spanning_classes(sub, k, witness=False))
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +642,6 @@ def _component_blocks(form: str) -> tuple[int, tuple[tuple[int, ...], ...], int]
     if len(blocks[0]) == 1:
         aut = 1
     else:
-        from .graphs import Multigraph
-
         aut = automorphism_count(Multigraph.from_pairs(w, blocks))
     return w, blocks, aut
 
@@ -757,7 +666,8 @@ def _orbit_sum(
             key = tuple(sorted(perm[s] for s in b))
             p *= values[key]
         total += p
-    assert total % aut == 0, "orbit sum not divisible by automorphism count"
+    if total % aut:
+        raise RuntimeError("orbit sum not divisible by automorphism count")
     return (total // aut) % prime
 
 
@@ -870,7 +780,8 @@ def _merge_expansion(t_class: PClass, comp: str) -> tuple[tuple[PClass, int], ..
         for sub, complement in _sub_multisets(rep, size):
             if _class_of_blocks(sub) == (comp,) and _class_of_blocks(complement) == t_class:
                 beta += 1
-        assert beta > 0, "candidate class without a witnessing split"
+        if beta == 0:
+            raise RuntimeError("candidate class without a witnessing split")
         out.append((cand, beta))
     return tuple(out)
 
@@ -945,6 +856,18 @@ def _form_is_tree(form: str) -> bool:
     return is_tree(SimpleGraph.from_edges(n, pairs))
 
 
+def _tree_classes(series: PSeries) -> frozenset[PClass]:
+    """Support classes of one component whose symbol graph is a tree on
+    n + 1 symbols."""
+    return frozenset(
+        cls
+        for cls in series.terms
+        if len(cls) == 1
+        and parse_form(cls[0])[0] == series.n + 1
+        and _form_is_tree(cls[0])
+    )
+
+
 def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     """Tree classes of the support: classes whose symbol graph is a tree
     on n+1 symbols.
@@ -970,12 +893,7 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
             if is_admissible(lam, g):
                 out.append((canonical_form(t),))
         return frozenset(out)
-    series = kneser_psum(g, 2)
-    return frozenset(
-        cls
-        for cls in series.terms
-        if len(cls) == 1 and parse_form(cls[0])[0] == n + 1 and _form_is_tree(cls[0])
-    )
+    return _tree_classes(kneser_psum(g, 2))
 
 
 def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
@@ -985,11 +903,16 @@ def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
     symbol tree; the classes attaining the lexicographic minimum are the
     ones reconstruction deletes a leaf from.
     """
-    from .profiles import min_degree_sequence
-
     classes = lambda_t(g, 2)
     if not classes:
         raise ValueError("graph has no tree classes in its support")
+    return _minimal_profile(classes)
+
+
+def _minimal_profile(classes) -> tuple[frozenset[PClass], tuple[int, ...]]:
+    """The tree classes of lexicographically least profile, and that profile.
+
+    ``classes`` must be non-empty single tree classes."""
     profiled: dict[PClass, tuple[int, ...]] = {}
     for cls in classes:
         tree = graph_from_form(cls[0])

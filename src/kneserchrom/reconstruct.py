@@ -31,10 +31,16 @@ from .graphs import (
     graph_from_form,
     induced_subgraph,
     is_tree,
-    parse_form,
 )
-from .kneser import AdmissibleWitness, PClass, PSeries, _form_is_tree
-from .profiles import min_degree_sequence, minimum_leaves
+from .kneser import (
+    AdmissibleWitness,
+    PClass,
+    PSeries,
+    _form_is_tree,
+    _minimal_profile,
+    _tree_classes,
+)
+from .profiles import minimum_leaves
 
 
 @dataclass(frozen=True)
@@ -74,14 +80,8 @@ def reconstruct_from_lambda_t(classes) -> ReconstructionResult:
     its canonical representative is deleted and the rest relabelled in
     label order.
     """
-    tree_classes = _tree_classes_only(classes)
-    profiled: dict[PClass, tuple[int, ...]] = {}
-    for cls in tree_classes:
-        tree = graph_from_form(cls[0])
-        assert isinstance(tree, SimpleGraph)
-        profiled[cls] = min_degree_sequence(tree)
-    best = min(profiled.values())
-    chosen = min(cls for cls, prof in profiled.items() if prof == best)
+    minimal, _ = _minimal_profile(_tree_classes_only(classes))
+    chosen = min(minimal)
     augmented = graph_from_form(chosen[0])
     assert isinstance(augmented, SimpleGraph)
     leaf = minimum_leaves(augmented)[0]
@@ -99,13 +99,7 @@ def reconstruct_from_invariant(series: PSeries) -> ReconstructionResult:
     """
     if series.k != 2:
         raise ValueError("tree reconstruction requires a k = 2 series")
-    tree_classes = [
-        cls
-        for cls in series.terms
-        if len(cls) == 1
-        and parse_form(cls[0])[0] == series.n + 1
-        and _form_is_tree(cls[0])
-    ]
+    tree_classes = _tree_classes(series)
     if not tree_classes:
         raise ValueError("series has no tree classes in its support")
     return reconstruct_from_lambda_t(tree_classes)

@@ -127,6 +127,13 @@ def test_verify_json(capsys):
     assert data["summary"]["all_pass"] is True
 
 
+def test_verify_output_is_deterministic(capsys):
+    for extra in ([], ["--json"]):
+        first = run_cli(capsys, "verify", "--nmax", "4", *extra)
+        second = run_cli(capsys, "verify", "--nmax", "4", *extra)
+        assert first[0] == 0 and first[1] == second[1]
+
+
 def test_collide_small(capsys):
     code, out, _ = run_cli(capsys, "collide", "--nmax", "3")
     assert code == 0

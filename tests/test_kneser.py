@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from oracles import all_block_bijections, brute_direct_eval, chromatic_polynomial_value
 
+import kneserchrom
 from kneserchrom import (
     FIXED_PRIME,
     CapExceededError,
@@ -21,6 +28,7 @@ from kneserchrom import (
     enumerate_trees,
     graph_from_form,
     is_admissible,
+    is_connected,
     kneser_psum,
     lambda_class,
     lambda_support,
@@ -116,7 +124,8 @@ def test_class_enumeration_complete_against_brute_force():
 
 def test_witness_counts_match_brute_force():
     # W(shape, class) counts bijections onto the canonical representative
-    for g in [K2, P3, STAR3, SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])]:
+    connected = [g for n in range(1, 6) for g in enumerate_graphs(n) if is_connected(g)]
+    for g in connected:
         weights = _component_weights(canonical_form(g), 2)
         for cls, w in weights.items():
             _, pairs = parse_form(cls)
@@ -229,6 +238,38 @@ def test_large_class_vanishes_below_symbol_count():
     # at m = 2 only one block exists, so no proper assignment of the edge
     assert pseries_eval(series, 2, {b: 1 for b in block_universe(2, 2)}) == 0
     assert direct_eval(K2, 2, 2, {b: 1 for b in block_universe(2, 2)}) == 0
+
+
+def test_invariant_check_survives_optimised_mode():
+    # a wrong automorphism count must still be caught under python -O,
+    # which strips assert statements
+    script = textwrap.dedent(
+        """
+        from kneserchrom import block_universe, kneser
+
+        real = kneser._component_blocks
+        kneser._component_blocks = lambda form: real(form)[:2] + (5,)
+        ones = {b: 1 for b in block_universe(4, 2)}
+        try:
+            kneser._orbit_sum("3:[[0,1],[1,2]]", 4, ones, kneser.FIXED_PRIME)
+        except RuntimeError as exc:
+            print(exc)
+        """
+    )
+    env = dict(os.environ)
+    package_root = str(Path(kneserchrom.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "orbit sum not divisible by automorphism count"
 
 
 def test_psum_isomorphism_invariance():
