@@ -184,7 +184,7 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
             g6 = canonical_graph6(tree)
             classes = lambda_t(tree, 2)
             tilde, profile = _minimal_profile(classes)
-            result = reconstruct_from_lambda_t(classes)
+            result = reconstruct_from_lambda_t(tilde)
             ok = are_isomorphic(result.graph, tree)
             record = {
                 "n": n,

@@ -30,7 +30,7 @@ from .catalog import (
 from .graph6 import Graph6Error, parse_graph6
 from .graphs import CapExceededError, SimpleGraph, is_tree
 from .kneser import PSeries
-from .profiles import min_degree_sequence, minimum_leaves, rooted_order
+from .profiles import minimum_leaves, rooted_order
 from .reconstruct import reconstruct_from_invariant
 
 
@@ -142,9 +142,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph6)
     if not is_tree(g):
         raise ValueError("profile is defined for trees")
-    profile = min_degree_sequence(g)
     leaves = minimum_leaves(g)
     ro = rooted_order(g, leaves[0])
+    profile = ro.profile
     if args.json:
         _emit_json(
             {

@@ -288,7 +288,6 @@ def _canonical_edge_list(n: int, weighted_edges) -> list[list[int]]:
 
     best: list[tuple[int, int]] | None = None
     pos = [-1] * n  # vertex -> assigned position
-    assigned: list[int] = []  # position -> vertex
 
     def twins(u: int, v: int) -> bool:
         ru, rv = mat[u], mat[v]
@@ -321,14 +320,24 @@ def _canonical_edge_list(n: int, weighted_edges) -> list[list[int]]:
                 continue
             tried.append(v)
             pos[v] = p
-            assigned.append(v)
             extend(p + 1)
-            assigned.pop()
             pos[v] = -1
 
     extend(0)
     assert best is not None
     return [[u, v] for u, v in best]
+
+
+def _weighted_edges(g: SimpleGraph | Multigraph, what: str) -> tuple:
+    """``((u, v), multiplicity)`` pairs sorted by pair, after the size checks
+    shared by the isomorphism routines (``what`` names the caller)."""
+    if g.n < 1:
+        raise ValueError(f"{what} requires at least one vertex")
+    if g.n > VERTEX_CAP:
+        raise CapExceededError(f"{what} capped at {VERTEX_CAP} vertices (got {g.n})")
+    if isinstance(g, Multigraph):
+        return g.edges
+    return tuple(((u, v), 1) for u, v in g.sorted_edges())
 
 
 @lru_cache(maxsize=None)
@@ -344,15 +353,7 @@ def canonical_form(g: SimpleGraph | Multigraph) -> str:
     multiplicity), so two graphs get the same string exactly when they are
     isomorphic.  Raises ``CapExceededError`` above ``VERTEX_CAP`` vertices.
     """
-    if g.n < 1:
-        raise ValueError("canonical form requires at least one vertex")
-    if g.n > VERTEX_CAP:
-        raise CapExceededError(f"canonical form capped at {VERTEX_CAP} vertices (got {g.n})")
-    if isinstance(g, Multigraph):
-        weighted = g.edges
-    else:
-        weighted = tuple(((u, v), 1) for u, v in g.sorted_edges())
-    return _canonical_form_cached(g.n, weighted)
+    return _canonical_form_cached(g.n, _weighted_edges(g, "canonical form"))
 
 
 def parse_form(form: str) -> tuple[int, list[tuple[int, int]]]:
@@ -378,12 +379,7 @@ def are_isomorphic(g: SimpleGraph | Multigraph, h: SimpleGraph | Multigraph) -> 
     """Isomorphism test by canonical-form comparison, with cheap pre-checks."""
     if g.n != h.n:
         return False
-    if isinstance(g, Multigraph) != isinstance(h, Multigraph):
-        g = g.simple() if isinstance(g, Multigraph) and all(m == 1 for _, m in g.edges) else g
-        h = h.simple() if isinstance(h, Multigraph) and all(m == 1 for _, m in h.edges) else h
-        if isinstance(g, Multigraph) != isinstance(h, Multigraph):
-            return False
-    if isinstance(g, SimpleGraph):
+    if isinstance(g, SimpleGraph) and isinstance(h, SimpleGraph):
         if len(g.edges) != len(h.edges) or sorted(g.degrees()) != sorted(h.degrees()):
             return False
     return canonical_form(g) == canonical_form(h)
@@ -396,17 +392,7 @@ def automorphism_count(g: SimpleGraph | Multigraph) -> int:
     classes (automorphisms preserve stable colours, so nothing is missed);
     a pair of vertices is checked the moment its later member is placed.
     """
-    if g.n < 1:
-        raise ValueError("automorphism count requires at least one vertex")
-    if g.n > VERTEX_CAP:
-        raise CapExceededError(
-            f"automorphism count capped at {VERTEX_CAP} vertices (got {g.n})"
-        )
-    if isinstance(g, Multigraph):
-        weighted = g.edges
-    else:
-        weighted = tuple(((u, v), 1) for u, v in g.sorted_edges())
-    mat = _adjacency_matrix(g.n, weighted)
+    mat = _adjacency_matrix(g.n, _weighted_edges(g, "automorphism count"))
     classes = _refinement_classes(g.n, mat)
     class_of = [0] * g.n
     for ci, cls in enumerate(classes):
@@ -483,8 +469,3 @@ def component_class_string(part: Lambda) -> str:
 def lambda_class(lam: Lambda) -> tuple[str, ...]:
     """Isomorphism class of a block multiset: sorted component class strings."""
     return tuple(sorted(component_class_string(p) for p in connected_components(lam)))
-
-
-def class_block_count(pclass: tuple[str, ...]) -> int:
-    """Total number of blocks named by a component-class tuple."""
-    return sum(len(parse_form(c)[1]) for c in pclass)

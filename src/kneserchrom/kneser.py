@@ -78,7 +78,7 @@ from .graphs import (
     parse_form,
     singleton_class_string,
 )
-from .profiles import min_degree_sequence
+from .profiles import min_degree_sequence, minimum_leaves, rooted_order
 
 #: full subset expansions are enumerated only up to this many vertices
 PSUM_VERTEX_CAP = 7
@@ -266,15 +266,12 @@ def _component_classes(form: str, k: int) -> frozenset[str]:
 
     extend(0, 0)
 
-    classes: set[str] = set()
-    memo: dict[bytes, str] = {}
-    for enc in seen:
-        blocks = [((byte >> 4) & 15, byte & 15) for byte in enc]
-        key = enc
-        if key not in memo:
-            memo[key] = component_class_string(Lambda.from_blocks(2, blocks))
-        classes.add(memo[key])
-    return frozenset(classes)
+    return frozenset(
+        component_class_string(
+            Lambda.from_blocks(2, [((byte >> 4) & 15, byte & 15) for byte in enc])
+        )
+        for enc in seen
+    )
 
 
 @lru_cache(maxsize=None)
@@ -912,12 +909,18 @@ def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
 def _minimal_profile(classes) -> tuple[frozenset[PClass], tuple[int, ...]]:
     """The tree classes of lexicographically least profile, and that profile.
 
-    ``classes`` must be non-empty single tree classes."""
+    Each class is profiled once.  Raises ``ValueError`` unless ``classes``
+    is a non-empty iterable of single tree classes."""
     profiled: dict[PClass, tuple[int, ...]] = {}
     for cls in classes:
+        cls = tuple(cls)
+        if len(cls) != 1 or not _form_is_tree(cls[0]):
+            raise ValueError(f"{cls!r} is not a single tree class")
         tree = graph_from_form(cls[0])
         assert isinstance(tree, SimpleGraph)
         profiled[cls] = min_degree_sequence(tree)
+    if not profiled:
+        raise ValueError("no tree classes to reconstruct from")
     best = min(profiled.values())
     return frozenset(c for c, p in profiled.items() if p == best), best
 
@@ -943,8 +946,6 @@ def augment_tree_lambda(g: SimpleGraph) -> TreeAugmentation:
     with one pendant symbol attached at the root, so its minimum profile is
     (1, 1 + r(T)_1, r(T)_2, ..., r(T)_n).
     """
-    from .profiles import minimum_leaves, rooted_order
-
     leaf = minimum_leaves(g)[0]
     ro = rooted_order(g, leaf)
     assignment = []

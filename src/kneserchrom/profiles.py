@@ -15,8 +15,10 @@ globally (ties are broken by vertex label to fix one witness order).
 r(T) = min over all vertices v of r(T, v); the vertices attaining the
 minimum are the *minimum leaves* of T (for n >= 2 they are always leaves:
 rooting at a leaf starts the sequence with degree 1, which beats any
-internal root).  These profiles are the carrier of the tree-reconstruction
-argument implemented in ``kneserchrom.reconstruct``.
+internal root).  So r(T) and the minimum leaves both come from one pass
+that roots only at the leaves (at the sole vertex when n = 1).  These
+profiles are the carrier of the tree-reconstruction argument implemented
+in ``kneserchrom.reconstruct``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ def rooted_order(g: SimpleGraph, root: int) -> RootedOrder:
     _require_tree(g)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range")
+    return _rooted_order(g, root)
+
+
+def _rooted_order(g: SimpleGraph, root: int) -> RootedOrder:
     adj = g.adjacency()
     deg = g.degrees()
     parent = {root: -1}
@@ -87,10 +93,23 @@ def min_rooted_degree_sequence(g: SimpleGraph, root: int) -> DegreeProfile:
     return rooted_order(g, root).profile
 
 
+def _minimum_rootings(g: SimpleGraph) -> tuple[DegreeProfile, tuple[int, ...]]:
+    """r(T) and the minimum leaves, from one pass over the leaf roots.
+
+    An internal root never attains r(T) (see the module docstring), so only
+    vertices of degree at most 1 are tried: the leaves, or the sole vertex
+    of the one-vertex tree.
+    """
+    _require_tree(g)
+    deg = g.degrees()
+    profiles = {v: _rooted_order(g, v).profile for v in range(g.n) if deg[v] <= 1}
+    best = min(profiles.values())
+    return best, tuple(v for v, p in profiles.items() if p == best)
+
+
 def min_degree_sequence(g: SimpleGraph) -> DegreeProfile:
     """r(T) = min over all roots of r(T, root)."""
-    _require_tree(g)
-    return min(min_rooted_degree_sequence(g, v) for v in range(g.n))
+    return _minimum_rootings(g)[0]
 
 
 def minimum_leaves(g: SimpleGraph) -> tuple[int, ...]:
@@ -98,7 +117,4 @@ def minimum_leaves(g: SimpleGraph) -> tuple[int, ...]:
 
     For n >= 2 these are leaves; for the one-vertex tree the sole vertex.
     """
-    _require_tree(g)
-    profiles = {v: min_rooted_degree_sequence(g, v) for v in range(g.n)}
-    best = min(profiles.values())
-    return tuple(sorted(v for v, p in profiles.items() if p == best))
+    return _minimum_rootings(g)[1]

@@ -36,7 +36,6 @@ from .kneser import (
     AdmissibleWitness,
     PClass,
     PSeries,
-    _form_is_tree,
     _minimal_profile,
     _tree_classes,
 )
@@ -60,18 +59,6 @@ class ReconstructionResult:
         }
 
 
-def _tree_classes_only(classes) -> list[PClass]:
-    out = []
-    for cls in classes:
-        cls = tuple(cls)
-        if len(cls) != 1 or not _form_is_tree(cls[0]):
-            raise ValueError(f"{cls!r} is not a single tree class")
-        out.append(cls)
-    if not out:
-        raise ValueError("no tree classes to reconstruct from")
-    return out
-
-
 def reconstruct_from_lambda_t(classes) -> ReconstructionResult:
     """Reconstruct a tree from its set of tree classes.
 
@@ -80,7 +67,7 @@ def reconstruct_from_lambda_t(classes) -> ReconstructionResult:
     its canonical representative is deleted and the rest relabelled in
     label order.
     """
-    minimal, _ = _minimal_profile(_tree_classes_only(classes))
+    minimal, _ = _minimal_profile(classes)
     chosen = min(minimal)
     augmented = graph_from_form(chosen[0])
     assert isinstance(augmented, SimpleGraph)

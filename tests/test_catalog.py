@@ -22,6 +22,7 @@ from kneserchrom import (
     verify_trees,
     write_graph6,
 )
+from kneserchrom import kneser
 
 P4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -151,6 +152,24 @@ def test_verify_trees_witness_mode():
     report = verify_trees(4, witness=True)
     assert report["summary"]["all_pass"] is True
     assert all(record["witness_ok"] for record in report["records"])
+
+
+def test_verify_trees_profiles_each_class_once(monkeypatch):
+    calls = 0
+    profile = kneser.min_degree_sequence
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return profile(g)
+
+    monkeypatch.setattr(kneser, "min_degree_sequence", counted)
+    records = verify_trees(7)["records"]
+    # every tree class once for the record, then the minimal classes once
+    # more when the tree is rebuilt from them
+    assert calls == sum(r["lambda_t_size"] + r["lambda_t_tilde_size"] for r in records)
+    # the minimal-profile class of a tree is unique
+    assert all(r["lambda_t_tilde_size"] == 1 for r in records)
 
 
 def test_verify_trees_rejects_bad_bound():

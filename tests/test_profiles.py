@@ -79,7 +79,7 @@ def test_greedy_profile_equals_brute_force():
 
 
 def test_min_profile_is_attained_and_minimal():
-    for n in range(2, 8):
+    for n in range(2, 10):
         for t in enumerate_trees(n):
             prof = min_degree_sequence(t)
             per_root = [min_rooted_degree_sequence(t, r) for r in range(n)]

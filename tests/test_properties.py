@@ -1,0 +1,92 @@
+"""Property tests: relabel-invariance of the isomorphism-invariant outputs
+and the graph6 round trip, on Hypothesis-drawn graphs and trees.
+
+Trees come from the oracle's Pruefer decoder, not the package's own, and
+every test is derandomized so the suite stays deterministic.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import prufer_decode
+
+from kneserchrom import (
+    SimpleGraph,
+    canonical_form,
+    lambda_t,
+    min_degree_sequence,
+    minimum_leaves,
+    parse_graph6,
+    relabel,
+    write_graph6,
+)
+
+
+def bounded(max_examples: int):
+    return settings(derandomize=True, deadline=None, max_examples=max_examples)
+
+
+@st.composite
+def graphs(draw, min_n: int = 1, max_n: int = 7, max_edges: int | None = None):
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    if not pairs:
+        return SimpleGraph.from_edges(n, [])
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges))
+    return SimpleGraph.from_edges(n, edges)
+
+
+@st.composite
+def trees(draw, max_n: int):
+    n = draw(st.integers(1, max_n))
+    if n == 1:
+        return SimpleGraph.from_edges(1, [])
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    return SimpleGraph.from_edges(n, prufer_decode(seq, n))
+
+
+@st.composite
+def relabelled(draw, source):
+    """A drawn graph, a permutation of its vertices, and the relabelled graph."""
+    g = draw(source)
+    perm = draw(st.permutations(list(range(g.n))))
+    return g, perm, relabel(g, perm)
+
+
+@bounded(60)
+@given(relabelled(graphs(max_n=7)))
+def test_canonical_form_is_relabel_invariant(case):
+    g, _, h = case
+    assert canonical_form(h) == canonical_form(g)
+
+
+@bounded(60)
+@given(relabelled(trees(max_n=12)))
+def test_profiles_are_relabel_invariant(case):
+    t, perm, h = case
+    assert min_degree_sequence(h) == min_degree_sequence(t)
+    assert minimum_leaves(h) == tuple(sorted(perm[v] for v in minimum_leaves(t)))
+
+
+@bounded(40)
+@given(relabelled(trees(max_n=7)))
+def test_lambda_t_is_relabel_invariant(case):
+    t, _, h = case
+    assert lambda_t(h) == lambda_t(t)
+
+
+@bounded(60)
+@given(
+    st.one_of(  # both size fields: one byte up to n = 62, four bytes beyond
+        graphs(min_n=0, max_n=62, max_edges=40),
+        graphs(min_n=63, max_n=70, max_edges=40),
+    )
+)
+def test_graph6_round_trip(g):
+    assert parse_graph6(write_graph6(g)) == g

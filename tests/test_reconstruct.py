@@ -49,12 +49,12 @@ def test_reconstruction_rejects_k1_series():
 
 
 def test_reconstruction_rejects_classes_without_trees():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no tree classes to reconstruct from"):
         reconstruct_from_lambda_t([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a single tree class"):
         # a single component on n+1 symbols that is not a tree
         reconstruct_from_lambda_t([("3:[[0,1],[0,2],[1,2]]",)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a single tree class"):
         # a two-component class is not a tree class
         reconstruct_from_lambda_t([("2:[[0,1]]", "2:[[0,1]]")])
 
