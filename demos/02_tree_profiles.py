@@ -37,7 +37,8 @@ def main():
 
     ro = rooted_order(tree, leaves[0])
     print(f"\ngreedy rooted order from root {leaves[0]}: {ro.order}")
-    print("degrees along it:", tuple(tree.degree(v) for v in ro.order))
+    deg = tree.degrees()
+    print("degrees along it:", tuple(deg[v] for v in ro.order))
 
     # how far does the profile alone go as an invariant?
     print("\ndistinct profiles vs distinct trees:")

@@ -20,7 +20,6 @@ from .generate import enumerate_graphs, enumerate_trees
 from .graph6 import write_graph6
 from .graphs import SimpleGraph, are_isomorphic, canonical_form, graph_from_form
 from .kneser import (
-    FIXED_PRIME,
     PSeries,
     _minimal_profile,
     augment_tree_lambda,
@@ -58,25 +57,17 @@ class Fingerprint:
 
     k: int
     seed: int
-    prime: int
     ms: tuple[int, ...]
     residues: tuple[int, ...]
 
 
-def fingerprint(
-    series: PSeries,
-    seed: int = DEFAULT_SEED,
-    ms: tuple[int, ...] | None = None,
-    prime: int = FIXED_PRIME,
-) -> Fingerprint:
+def fingerprint(series: PSeries, seed: int = DEFAULT_SEED) -> Fingerprint:
     """Evaluate the series at seeded value maps for a spread of symbol counts."""
-    if ms is None:
-        ms = tuple(range(series.k, 7))
+    ms = tuple(range(series.k, 7))
     residues = tuple(
-        pseries_eval(series, m, random_values(series.k, m, seed, prime), prime)
-        for m in ms
+        pseries_eval(series, m, random_values(series.k, m, seed)) for m in ms
     )
-    return Fingerprint(series.k, seed, prime, ms, residues)
+    return Fingerprint(series.k, seed, ms, residues)
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,6 @@ class SimpleGraph:
             adj[v].append(u)
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> list[int]:
         d = [0] * self.n
         for u, v in self.edges:

@@ -60,7 +60,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .generate import enumerate_trees
 from .graphs import (
     CapExceededError,
     Lambda,
@@ -82,7 +81,7 @@ from .profiles import min_degree_sequence, minimum_leaves, rooted_order
 
 #: full subset expansions are enumerated only up to this many vertices
 PSUM_VERTEX_CAP = 7
-#: tree-class extraction by candidate-tree iteration is capped here
+#: tree-class extraction for a tree (2^(n-1) breadth-first fills) is capped here
 LAMBDA_T_CAP = 9
 #: fixed public 61-bit prime for all modular evaluation (2^61 - 1)
 FIXED_PRIME = (1 << 61) - 1
@@ -140,10 +139,9 @@ def _placements(g: SimpleGraph, blocks):
     intersecting blocks on adjacent vertices, as sorted (vertex, block) pairs.
 
     Vertices are placed in ``_search_order`` and distinct blocks tried in
-    sorted order, so the placements come in a fixed order.  Two necessary
-    conditions prune the search: a vertex of degree d needs a block whose
-    intersecting blocks can host d neighbours, and (threshold bipartite
-    Hall) the degrees in decreasing order must fit those host counts.
+    sorted order, so the placements come in a fixed order.  The search is
+    pruned by a necessary condition: a vertex of degree d needs a block
+    whose intersecting blocks can host d neighbours.
     """
     counts = Counter(blocks)
     distinct = sorted(counts)
@@ -151,11 +149,6 @@ def _placements(g: SimpleGraph, blocks):
     sets = [set(b) for b in distinct]
     inter = [[bool(sa & sb) for sb in sets] for sa in sets]
     avail = [sum(c for c, meets in zip(caps, row) if meets) - 1 for row in inter]
-    degs = sorted(g.degrees(), reverse=True)
-    slots = sorted((a for a, c in zip(avail, caps) for _ in range(c)), reverse=True)
-    if any(d > a for d, a in zip(degs, slots)):
-        return
-
     order, earlier = _search_order(g)
     deg = g.degrees()
     chosen: list[int] = []
@@ -576,22 +569,16 @@ def block_universe(m: int, k: int) -> list[tuple[int, ...]]:
     return [tuple(c) for c in combinations(range(1, m + 1), k)]
 
 
-def random_values(
-    k: int, m: int, seed: int, prime: int = FIXED_PRIME
-) -> dict[tuple[int, ...], int]:
+def random_values(k: int, m: int, seed: int) -> dict[tuple[int, ...], int]:
     """Deterministic pseudorandom value map on the k-subsets of {1..m}."""
     rng = random.Random(f"{seed}:{k}:{m}")
-    return {b: rng.randrange(1, prime) for b in block_universe(m, k)}
+    return {b: rng.randrange(1, FIXED_PRIME) for b in block_universe(m, k)}
 
 
 def direct_eval(
-    g: SimpleGraph,
-    k: int,
-    m: int,
-    values: dict[tuple[int, ...], int],
-    prime: int = FIXED_PRIME,
+    g: SimpleGraph, k: int, m: int, values: dict[tuple[int, ...], int]
 ) -> int:
-    """Evaluate X_k(G) directly from its definition, modulo ``prime``.
+    """Evaluate X_k(G) directly from its definition, modulo ``FIXED_PRIME``.
 
     Sums prod_v values[phi(v)] over all maps phi into k-subsets of {1..m}
     with disjoint images on edges.  Independent of the power-sum machinery;
@@ -606,7 +593,7 @@ def direct_eval(
         raise ValueError(f"value map is missing blocks, e.g. {missing[0]}")
     sets = [set(b) for b in blocks]
     disjoint = [[not (sa & sb) for sb in sets] for sa in sets]
-    vals = [values[b] % prime for b in blocks]
+    vals = [values[b] % FIXED_PRIME for b in blocks]
 
     total = 1
     for comp in graph_components(g):
@@ -618,16 +605,16 @@ def direct_eval(
         def extend(i: int, running: int) -> None:
             nonlocal comp_total
             if i == len(order):
-                comp_total = (comp_total + running) % prime
+                comp_total = (comp_total + running) % FIXED_PRIME
                 return
             for bi in range(len(blocks)):
                 if all(disjoint[bi][chosen[j]] for j in earlier[i]):
                     chosen.append(bi)
-                    extend(i + 1, running * vals[bi] % prime)
+                    extend(i + 1, running * vals[bi] % FIXED_PRIME)
                     chosen.pop()
 
         extend(0, 1)
-        total = total * comp_total % prime
+        total = total * comp_total % FIXED_PRIME
     return total
 
 
@@ -643,10 +630,8 @@ def _component_blocks(form: str) -> tuple[int, tuple[tuple[int, ...], ...], int]
     return w, blocks, aut
 
 
-def _orbit_sum(
-    form: str, m: int, values: dict[tuple[int, ...], int], prime: int
-) -> int:
-    """Orbit sum of one connected component class, modulo ``prime``.
+def _orbit_sum(form: str, m: int, values: dict[tuple[int, ...], int]) -> int:
+    """Orbit sum of one connected component class, modulo ``FIXED_PRIME``.
 
     Sums the block-monomial over injective symbol labellings into {1..m}
     and divides by the automorphism count of the labelled component; the
@@ -665,16 +650,11 @@ def _orbit_sum(
         total += p
     if total % aut:
         raise RuntimeError("orbit sum not divisible by automorphism count")
-    return (total // aut) % prime
+    return (total // aut) % FIXED_PRIME
 
 
-def pseries_eval(
-    series: PSeries,
-    m: int,
-    values: dict[tuple[int, ...], int],
-    prime: int = FIXED_PRIME,
-) -> int:
-    """Evaluate a power-sum series at a finite value map, modulo ``prime``.
+def pseries_eval(series: PSeries, m: int, values: dict[tuple[int, ...], int]) -> int:
+    """Evaluate a power-sum series at a finite value map, modulo ``FIXED_PRIME``.
 
     Each class evaluates to the product of its components' orbit sums; the
     series evaluates to the coefficient-weighted sum.  For a witness series
@@ -688,12 +668,12 @@ def pseries_eval(
         prod = 1
         for comp in cls:
             if comp not in cache:
-                cache[comp] = _orbit_sum(comp, m, values, prime)
-            prod = prod * cache[comp] % prime
+                cache[comp] = _orbit_sum(comp, m, values)
+            prod = prod * cache[comp] % FIXED_PRIME
             if prod == 0:
                 break
-        total = (total + coeff * prod) % prime
-    return total % prime
+        total = (total + coeff * prod) % FIXED_PRIME
+    return total % FIXED_PRIME
 
 
 # ---------------------------------------------------------------------------
@@ -865,32 +845,60 @@ def _tree_classes(series: PSeries) -> frozenset[PClass]:
     )
 
 
+def _tree_code(n: int, edges) -> str:
+    """The least AHU code of a tree on n >= 2 vertices over its leaf rootings.
+
+    A rooted AHU code names the rooted tree exactly, and an isomorphism maps
+    leaves to leaves, so two trees get the same code exactly when they are
+    isomorphic."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(code(v, -1) for v in range(n) if len(adj[v]) == 1)
+
+
 def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     """Tree classes of the support: classes whose symbol graph is a tree
     on n+1 symbols.
 
-    For k = 1 no class can span n+1 symbols, so the set is empty.  For a
-    tree G the classes are found by testing each free tree on n+1 vertices
-    for admissibility (only the full edge set can contribute a connected
-    class, so admissibility and support membership agree); for other graphs
-    the full series is computed and filtered.
+    For k = 1 no class can span n+1 symbols, so the set is empty.  For
+    other graphs the full series is computed and filtered.  For a tree G
+    (only the full edge set can contribute a connected class, so the tree
+    classes are the admissible ones) the classes are read off G directly.
+    In breadth-first order every vertex after the first has exactly one
+    earlier neighbour, its parent; the first vertex gets the block {0, 1}
+    and the vertex at position i gets {s, i + 1} with s a symbol of its
+    parent's block.  These 2^(n-1) fills are admissible by construction,
+    and every tree class arises as one: each block meets its parent's
+    block, and n blocks spanning a tree on n + 1 symbols each add exactly
+    one new symbol.  Fills are deduplicated by ``_tree_code`` before
+    canonicalisation.
     """
     _check_k(k)
     if k == 1:
         return frozenset()
     n = g.n
-    if is_tree(g):
-        if n > LAMBDA_T_CAP:
-            raise CapExceededError(
-                f"tree-class extraction capped at {LAMBDA_T_CAP} vertices (got {n})"
-            )
-        out = []
-        for t in enumerate_trees(n + 1):
-            lam = Lambda.from_blocks(2, t.edges)
-            if is_admissible(lam, g):
-                out.append((canonical_form(t),))
-        return frozenset(out)
-    return _tree_classes(kneser_psum(g, 2))
+    if not is_tree(g):
+        return _tree_classes(kneser_psum(g, 2))
+    if n > LAMBDA_T_CAP:
+        raise CapExceededError(
+            f"tree-class extraction capped at {LAMBDA_T_CAP} vertices (got {n})"
+        )
+    _order, earlier = _search_order(g)
+    fills = [[(0, 1)]]
+    for i in range(1, n):
+        fills = [f + [(s, i + 1)] for f in fills for s in f[earlier[i][0]]]
+    by_code: dict[str, list[tuple[int, int]]] = {}
+    for f in fills:
+        by_code.setdefault(_tree_code(n + 1, f), f)
+    return frozenset(
+        (canonical_form(SimpleGraph.from_edges(n + 1, f)),) for f in by_code.values()
+    )
 
 
 def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:

@@ -43,9 +43,6 @@ class RootedOrder:
     parent_pos: tuple[int, ...]
     profile: DegreeProfile
 
-    def position(self, v: int) -> int:
-        return self.order.index(v)
-
 
 def _require_tree(g: SimpleGraph) -> None:
     if not is_tree(g):
@@ -61,12 +58,10 @@ def rooted_order(g: SimpleGraph, root: int) -> RootedOrder:
     _require_tree(g)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range")
-    return _rooted_order(g, root)
+    return _rooted_order(g.adjacency(), g.degrees(), root)
 
 
-def _rooted_order(g: SimpleGraph, root: int) -> RootedOrder:
-    adj = g.adjacency()
-    deg = g.degrees()
+def _rooted_order(adj: list[list[int]], deg: list[int], root: int) -> RootedOrder:
     parent = {root: -1}
     order: list[int] = []
     parent_pos: list[int] = []
@@ -101,8 +96,11 @@ def _minimum_rootings(g: SimpleGraph) -> tuple[DegreeProfile, tuple[int, ...]]:
     of the one-vertex tree.
     """
     _require_tree(g)
+    adj = g.adjacency()
     deg = g.degrees()
-    profiles = {v: _rooted_order(g, v).profile for v in range(g.n) if deg[v] <= 1}
+    profiles = {
+        v: _rooted_order(adj, deg, v).profile for v in range(g.n) if deg[v] <= 1
+    }
     best = min(profiles.values())
     return best, tuple(v for v, p in profiles.items() if p == best)
 

@@ -150,6 +150,9 @@ def test_exit_code_cap_exceeded(capsys):
     big = SimpleGraph.from_edges(8, [(i, i + 1) for i in range(7)])
     code, _, err = run_cli(capsys, "invariant", write_graph6(big))
     assert code == 3 and err.startswith("error:")
+    # trees up to 9 vertices verify first, then the 10-vertex trees hit LAMBDA_T_CAP
+    code, _, err = run_cli(capsys, "verify", "--nmax", "10")
+    assert code == 3 and err.startswith("error:")
 
 
 def test_exit_code_reconstruct_k1_series(capsys, tmp_path):

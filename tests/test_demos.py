@@ -1,8 +1,9 @@
-"""The profile and reconstruction demos run to completion.
+"""The profile, reconstruction and exhaustive-verification demos run to
+completion.
 
-Demos 01-03 call every public profile and reconstruction function; each
-runs in a fresh interpreter with the imported package first on
-``PYTHONPATH``.
+Demos 01-03 call every public profile and reconstruction function, and
+demo 04 verifies every tree with up to eight vertices; each runs in a
+fresh interpreter with the imported package first on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_invariant_basics.py", "02_tree_profiles.py", "03_reconstruction.py"],
+    [
+        "01_invariant_basics.py",
+        "02_tree_profiles.py",
+        "03_reconstruction.py",
+        "04_exhaustive_verification.py",
+    ],
 )
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)

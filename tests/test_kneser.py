@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -251,7 +252,7 @@ def test_invariant_check_survives_optimised_mode():
         kneser._component_blocks = lambda form: real(form)[:2] + (5,)
         ones = {b: 1 for b in block_universe(4, 2)}
         try:
-            kneser._orbit_sum("3:[[0,1],[1,2]]", 4, ones, kneser.FIXED_PRIME)
+            kneser._orbit_sum("3:[[0,1],[1,2]]", 4, ones)
         except RuntimeError as exc:
             print(exc)
         """
@@ -410,6 +411,23 @@ def test_lambda_t_counts_against_series_support():
                 and _form_is_tree(cls[0])
             }
             assert lambda_t(t) == via_series
+
+
+def test_lambda_t_of_every_tree_up_to_the_cap():
+    # sha256 over the sorted tree classes of every tree with n <= 9, in
+    # enumeration order (2694 classes); the digest was recorded from the
+    # earlier route that tested every free tree on n + 1 vertices for
+    # admissibility, so it pins the breadth-first construction to it
+    digest = hashlib.sha256()
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            digest.update(repr(sorted(lambda_t(t))).encode())
+    assert digest.hexdigest() == (
+        "78c0ae7cf51c9c38504b02505315d0076d1d8800d3ea6882d15d747e92f39cc1"
+    )
+    path10 = SimpleGraph.from_edges(10, [(i, i + 1) for i in range(9)])
+    with pytest.raises(CapExceededError):
+        lambda_t(path10)
 
 
 def test_lambda_t_of_a_cycle():

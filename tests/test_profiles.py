@@ -52,13 +52,12 @@ def test_rooted_order_structure():
     ro = rooted_order(g, 0)
     assert ro.order[0] == 0
     assert ro.parent_pos[0] == -1
-    pos = {v: i for i, v in enumerate(ro.order)}
     for i, v in enumerate(ro.order[1:], start=1):
         p = ro.order[ro.parent_pos[i]]
         assert ro.parent_pos[i] < i
         assert (min(p, v), max(p, v)) in g.edges
-    assert ro.profile == tuple(g.degree(v) for v in ro.order)
-    assert ro.position(3) == pos[3]
+    deg = g.degrees()
+    assert ro.profile == tuple(deg[v] for v in ro.order)
 
 
 def test_rooted_order_requires_tree():
@@ -88,4 +87,4 @@ def test_min_profile_is_attained_and_minimal():
             assert all(per_root[v] == prof for v in leaves)
             assert all(per_root[v] > prof for v in range(n) if v not in leaves)
             # a minimum opener is always a leaf of minimum degree
-            assert all(t.degree(v) == 1 for v in leaves)
+            assert all(t.degrees()[v] == 1 for v in leaves)
