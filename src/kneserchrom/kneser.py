@@ -630,24 +630,55 @@ def _component_blocks(form: str) -> tuple[int, tuple[tuple[int, ...], ...], int]
     return w, blocks, aut
 
 
-def _orbit_sum(form: str, m: int, values: dict[tuple[int, ...], int]) -> int:
+@lru_cache(maxsize=1 << 12)
+def _orbit_sum(form: str, m: int, vals: tuple[int, ...]) -> int:
     """Orbit sum of one connected component class, modulo ``FIXED_PRIME``.
 
-    Sums the block-monomial over injective symbol labellings into {1..m}
-    and divides by the automorphism count of the labelled component; the
-    division is exact over the integers (the automorphism group acts freely
-    on injective labellings), which doubles as a check on the count.
+    ``vals`` holds the value of each block of ``block_universe(m, k)``, in
+    that order.  Sums the block-monomial over injective symbol labellings
+    into {1..m}, extending a labelling one symbol at a time with a running
+    product: a block is multiplied in when its last symbol is placed, so a
+    shared prefix is paid once.  The sum is an exact integer and is divided
+    by the automorphism count of the labelled component; the division is
+    exact (the automorphism group acts freely on injective labellings),
+    which doubles as a check on the count.
+
+    Results are cached by (form, m, vals) in a bounded ``lru_cache`` of
+    4096 entries, so a component evaluated at the same value map is summed
+    once across series, fingerprints and collision searches.
     """
     w, blocks, aut = _component_blocks(form)
     if w > m:
         return 0
-    total = 0
-    for perm in permutations(range(1, m + 1), w):
-        p = 1
-        for b in blocks:
-            key = tuple(sorted(perm[s] for s in b))
-            p *= values[key]
-        total += p
+    # matrix[a][b] is the value of the block {a, b}; a k = 1 block {a} is matrix[a][a]
+    matrix = [[0] * (m + 1) for _ in range(m + 1)]
+    for b, v in zip(block_universe(m, len(blocks[0])), vals):
+        matrix[b[0]][b[-1]] = matrix[b[-1]][b[0]] = v
+    # blocks by their last symbol, each named by its first (itself when k = 1)
+    partners: list[list[int]] = [[] for _ in range(w)]
+    for b in blocks:
+        partners[max(b)].append(min(b))
+    label = [0] * w
+    used = [False] * (m + 1)
+
+    def extend(s: int, running: int) -> int:
+        if s == w:
+            return running
+        total = 0
+        for x in range(1, m + 1):
+            if used[x]:
+                continue
+            label[s] = x
+            row = matrix[x]
+            p = running
+            for t in partners[s]:
+                p *= row[label[t]]
+            used[x] = True
+            total += extend(s + 1, p)
+            used[x] = False
+        return total
+
+    total = extend(0, 1)
     if total % aut:
         raise RuntimeError("orbit sum not divisible by automorphism count")
     return (total // aut) % FIXED_PRIME
@@ -658,18 +689,23 @@ def pseries_eval(series: PSeries, m: int, values: dict[tuple[int, ...], int]) ->
 
     Each class evaluates to the product of its components' orbit sums; the
     series evaluates to the coefficient-weighted sum.  For a witness series
-    this equals ``direct_eval`` identically.
+    this equals ``direct_eval`` identically.  ``values`` needs a value for
+    every k-subset of {1..m}; it is read once into a tuple in
+    ``block_universe(m, k)`` order, which keys the orbit-sum cache of
+    ``_orbit_sum`` together with the component and m.
     """
     if m < series.k:
         raise ValueError("need m >= k")
-    cache: dict[str, int] = {}
+    blocks = block_universe(m, series.k)
+    missing = [b for b in blocks if b not in values]
+    if missing:
+        raise ValueError(f"value map is missing blocks, e.g. {missing[0]}")
+    vals = tuple(values[b] for b in blocks)
     total = 0
     for cls, coeff in sorted(series.terms.items()):
         prod = 1
         for comp in cls:
-            if comp not in cache:
-                cache[comp] = _orbit_sum(comp, m, values)
-            prod = prod * cache[comp] % FIXED_PRIME
+            prod = prod * _orbit_sum(comp, m, vals) % FIXED_PRIME
             if prod == 0:
                 break
         total = (total + coeff * prod) % FIXED_PRIME
@@ -738,17 +774,29 @@ def _merge_expansion(t_class: PClass, comp: str) -> tuple[tuple[PClass, int], ..
 
     Candidate result classes are found by overlaying a labelled
     representative of ``comp`` on the representative of ``t_class`` in every
-    injective way (fresh symbols included); the coefficient of a candidate D
-    counts the splits of D's representative into a ``comp``-part and a
-    ``t_class``-part, which is exactly the orbit-sum product coefficient.
+    injective way (fresh symbols included).  The fresh symbols are
+    interchangeable, so only images that take them in increasing order are
+    overlaid.  Many images still give the same labelled overlay, so the
+    distinct sorted overlays are collected first and each is canonicalised
+    once.  The coefficient of a candidate D counts the splits of D's
+    representative into a ``comp``-part and a ``t_class``-part, which is
+    exactly the orbit-sum product coefficient.  Expansions are cached per
+    (t_class, comp) pair in an ``lru_cache`` without a size bound.
     """
     t_blocks = _class_rep_blocks(t_class)
     w_t = sum(parse_form(c)[0] for c in t_class)
     w_c, c_pairs = parse_form(comp)
-    candidates: set[PClass] = set()
-    for image in permutations(range(w_t + w_c), w_c):
-        c_blocks = [tuple(sorted(image[s] for s in b)) for b in c_pairs]
-        candidates.add(_class_of_blocks(sorted(t_blocks + c_blocks)))
+
+    def fresh_in_order(image) -> bool:
+        fresh = [s for s in image if s >= w_t]
+        return fresh == list(range(w_t, w_t + len(fresh)))
+
+    overlays = {
+        tuple(sorted(t_blocks + [tuple(sorted(image[s] for s in b)) for b in c_pairs]))
+        for image in permutations(range(w_t + w_c), w_c)
+        if fresh_in_order(image)
+    }
+    candidates = {_class_of_blocks(blocks) for blocks in overlays}
     out = []
     size = len(c_pairs)
     for cand in sorted(candidates):

@@ -24,6 +24,26 @@ def brute_direct_eval(n, edges, k, m, values, prime):
     return total
 
 
+def brute_orbit_sum(w, blocks, m, values):
+    """Orbit sum of a labelled block multiset on symbols 0..w-1, as an exact
+    integer, at a value map on the blocks of {1..m}.
+
+    Every injective labelling into {1..m} is tried, with a sorted key per
+    block.  Each distinct relabelled multiset is one monomial of the orbit,
+    so the sum runs over the distinct ones: no automorphism count needed.
+    """
+    images = set()
+    for perm in permutations(range(1, m + 1), w):
+        images.add(tuple(sorted(tuple(sorted(perm[s] for s in b)) for b in blocks)))
+    total = 0
+    for image in images:
+        p = 1
+        for b in image:
+            p *= values[b]
+        total += p
+    return total
+
+
 def chromatic_polynomial_value(n, edges, m):
     """Proper m-colouring count by deletion-contraction.
 

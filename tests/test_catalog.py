@@ -15,12 +15,10 @@ from kneserchrom import (
     collide_search,
     enumerate_trees,
     fingerprint,
-    graph_from_form,
     kneser_psum,
     parse_graph6,
     relabel,
     verify_trees,
-    write_graph6,
 )
 from kneserchrom import kneser
 

@@ -11,7 +11,6 @@ from oracles import prufer_decode
 from kneserchrom import (
     FREE_TREE_COUNTS,
     CapExceededError,
-    SimpleGraph,
     canonical_form,
     enumerate_graphs,
     enumerate_trees,

@@ -11,7 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from oracles import all_block_bijections, brute_direct_eval, chromatic_polynomial_value
+from oracles import (
+    all_block_bijections,
+    brute_direct_eval,
+    brute_orbit_sum,
+    chromatic_polynomial_value,
+)
 
 import kneserchrom
 from kneserchrom import (
@@ -42,6 +47,7 @@ from kneserchrom import (
 )
 from kneserchrom.kneser import (
     _component_weights,
+    _orbit_sum,
     _psum_k1,
     _psum_subsets,
     admissible_for_subgraph,
@@ -215,6 +221,47 @@ def test_series_evaluation_equals_direct():
                     assert pseries_eval(series, m, vals) == direct_eval(g, k, m, vals)
 
 
+def test_evaluation_rejects_missing_blocks():
+    series = kneser_psum(P3, 2)
+    vals = random_values(2, 4, seed=1)
+    del vals[(2, 3)]
+    for evaluate in (pseries_eval, lambda s, m, v: direct_eval(P3, 2, m, v)):
+        with pytest.raises(ValueError, match=r"value map is missing blocks, e\.g\. \(2, 3\)"):
+            evaluate(series, 4, vals)
+
+
+def test_orbit_sum_kernel_matches_brute_oracle():
+    forms = {
+        comp
+        for n in range(1, 6)
+        for g in enumerate_graphs(n)
+        for k in (1, 2)
+        for cls in kneser_psum(g, k).terms
+        for comp in cls
+    }
+    for form in sorted(forms):
+        w, blocks = parse_form(form)
+        k = len(blocks[0])
+        for m in range(2, 7):
+            for seed in (5, 6):
+                vals = random_values(k, m, seed)
+                expected = brute_orbit_sum(w, blocks, m, vals) % FIXED_PRIME
+                key = tuple(vals[b] for b in block_universe(m, k))
+                assert _orbit_sum(form, m, key) == expected, (form, m, seed)
+
+    # two value maps with the same m are cached apart: neither result leaks
+    form = "4:[[0,1],[1,2],[1,3]]"
+    w, blocks = parse_form(form)
+    maps = [random_values(2, 5, seed) for seed in (7, 8)]
+    keys = [tuple(v[b] for b in block_universe(5, 2)) for v in maps]
+    first = [_orbit_sum(form, 5, key) for key in keys]
+    hits = _orbit_sum.cache_info().hits
+    again = [_orbit_sum(form, 5, key) for key in keys]
+    assert _orbit_sum.cache_info().hits == hits + 2
+    assert first[0] != first[1]
+    assert again == first == [brute_orbit_sum(w, blocks, 5, v) % FIXED_PRIME for v in maps]
+
+
 def test_k1_partition_route_equals_subset_route():
     for n in range(1, 6):
         for g in enumerate_graphs(n):
@@ -250,7 +297,7 @@ def test_invariant_check_survives_optimised_mode():
 
         real = kneser._component_blocks
         kneser._component_blocks = lambda form: real(form)[:2] + (5,)
-        ones = {b: 1 for b in block_universe(4, 2)}
+        ones = tuple(1 for _ in block_universe(4, 2))
         try:
             kneser._orbit_sum("3:[[0,1],[1,2]]", 4, ones)
         except RuntimeError as exc:

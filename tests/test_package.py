@@ -1,10 +1,16 @@
-"""The package namespace: ``__all__`` names every public export."""
+"""The package namespace: ``__all__`` names every public export, and no
+module of the package or the tests imports a name it never uses."""
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import kneserchrom
+
+TESTS = Path(__file__).resolve().parent
+PACKAGE = Path(kneserchrom.__file__).resolve().parent
 
 
 def test_all_matches_public_names():
@@ -14,3 +20,39 @@ def test_all_matches_public_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert set(kneserchrom.__all__) == public
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Module-level imports of ``path`` bound to a name the module never reads.
+
+    Names listed in the module's ``__all__`` are re-exports, and
+    ``from __future__`` imports are compiler directives, so both are exempt.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        unused += [
+            f"{path.name}:{node.lineno} {name}"
+            for name in names
+            if name not in used and name not in exported
+        ]
+    return unused
+
+
+def test_no_unused_module_imports():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(paths) > 10
+    assert [u for path in paths for u in unused_imports(path)] == []

@@ -1,5 +1,6 @@
-"""Property tests: relabel-invariance of the isomorphism-invariant outputs
-and the graph6 round trip, on Hypothesis-drawn graphs and trees.
+"""Property tests: relabel-invariance of the isomorphism-invariant outputs,
+series evaluation against direct evaluation, and the graph6 round trip, on
+Hypothesis-drawn graphs and trees.
 
 Trees come from the oracle's Pruefer decoder, not the package's own, and
 every test is derandomized so the suite stays deterministic.
@@ -19,13 +20,23 @@ from oracles import prufer_decode
 from kneserchrom import (
     SimpleGraph,
     canonical_form,
+    direct_eval,
+    kneser_psum,
     lambda_t,
     min_degree_sequence,
     minimum_leaves,
     parse_graph6,
+    pseries_eval,
+    random_values,
     relabel,
+    true_basis,
     write_graph6,
 )
+from kneserchrom.kneser import _psum_subsets
+
+#: a k = 2 series assembles all 2^|E| spanning subgraphs; 8 edges keep one
+#: example well under a second
+SERIES_MAX_EDGES = 8
 
 
 def bounded(max_examples: int):
@@ -79,6 +90,30 @@ def test_profiles_are_relabel_invariant(case):
 def test_lambda_t_is_relabel_invariant(case):
     t, _, h = case
     assert lambda_t(h) == lambda_t(t)
+
+
+@bounded(25)
+@given(
+    graphs(max_n=6, max_edges=SERIES_MAX_EDGES),
+    st.integers(2, 5),
+    st.integers(0, 1 << 16),
+)
+def test_series_evaluation_equals_direct_evaluation(g, m, seed):
+    for k in (1, 2):
+        vals = random_values(k, m, seed)
+        assert pseries_eval(kneser_psum(g, k), m, vals) == direct_eval(g, k, m, vals)
+
+
+@bounded(20)
+@given(relabelled(graphs(max_n=6, max_edges=SERIES_MAX_EDGES)))
+def test_series_and_true_basis_are_relabel_invariant(case):
+    g, _, h = case
+    for k in (1, 2):
+        series = kneser_psum(g, k)
+        assert kneser_psum(h, k).terms == series.terms
+        assert true_basis(kneser_psum(h, k)) == true_basis(series)
+    # past the cache keyed by canonical form: the subset route on the relabelled graph itself
+    assert _psum_subsets(h, 2, True)[0] == series.terms
 
 
 @bounded(60)

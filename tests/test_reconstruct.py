@@ -11,7 +11,6 @@ from kneserchrom import (
     augment_tree_lambda,
     canonical_form,
     enumerate_trees,
-    graph_from_form,
     is_admissible,
     kneser_psum,
     lambda_t,
