@@ -3,9 +3,11 @@
 ``enumerate_trees`` grows trees one pendant vertex at a time: every tree on
 n vertices arises from a tree on n-1 vertices by attaching a leaf, so
 attaching a leaf at every vertex of every (n-1)-vertex representative and
-deduplicating by canonical form is exhaustive.  Representatives are
-materialised from their canonical forms, which makes the output order (and
-the labelling of each representative) deterministic.
+deduplicating is exhaustive.  The grown trees are deduplicated by their
+centre-rooted AHU code, and one tree decoded from each distinct code is
+canonicalised, so each distinct tree costs one canonical form.
+Representatives are materialised from their canonical forms, which makes
+the output order (and the labelling of each representative) deterministic.
 
 ``enumerate_graphs`` does the same by edge count: every graph with m+1
 edges is a graph with m edges plus one edge.
@@ -23,12 +25,14 @@ from .graphs import (
     CapExceededError,
     SimpleGraph,
     VERTEX_CAP,
+    _tree_code,
+    _tree_from_code,
     canonical_form,
     graph_from_form,
 )
 
-#: unlabelled free trees on 1..10 vertices
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
+#: unlabelled free trees on 1..12 vertices (OEIS A000055)
+FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
 
 
 @lru_cache(maxsize=None)
@@ -44,11 +48,12 @@ def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
         raise CapExceededError(f"tree enumeration capped at {VERTEX_CAP} vertices (got {n})")
     if n == 1:
         return (SimpleGraph.from_edges(1, []),)
-    forms: set[str] = set()
-    for t in enumerate_trees(n - 1):
-        for v in range(t.n):
-            grown = SimpleGraph.from_edges(n, list(t.edges) + [(v, n - 1)])
-            forms.add(canonical_form(grown))
+    codes = {
+        _tree_code(n, list(t.edges) + [(v, n - 1)])
+        for t in enumerate_trees(n - 1)
+        for v in range(t.n)
+    }
+    forms = {canonical_form(SimpleGraph.from_edges(n, _tree_from_code(c))) for c in codes}
     out = []
     for form in sorted(forms):
         g = graph_from_form(form)

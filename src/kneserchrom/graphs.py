@@ -337,8 +337,13 @@ def _weighted_edges(g: SimpleGraph | Multigraph, what: str) -> tuple:
     return tuple(((u, v), 1) for u, v in g.sorted_edges())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _canonical_form_cached(n: int, weighted_edges: tuple) -> str:
+    """Form string of a labelled input, keyed by (n, its sorted weighted edges).
+
+    The key is labelled, so isomorphic inputs with different labels take
+    separate entries.  The bound of 16384 entries sits far above the few
+    hundred that tree verification or a collision search to n = 5 holds."""
     body = _canonical_edge_list(n, weighted_edges)
     return f"{n}:" + json.dumps(body, separators=(",", ":"))
 
@@ -419,6 +424,55 @@ def automorphism_count(g: SimpleGraph | Multigraph) -> int:
 
     extend(0)
     return count
+
+
+def _tree_code(n: int, edges) -> str:
+    """AHU code (Aho, Hopcroft and Ullman) of a tree on n >= 1 vertices,
+    rooted at its centre.
+
+    Leaves are peeled layer by layer until the one or two centre vertices
+    remain; with two centres the lesser rooted code is taken.  A rooted
+    code names the rooted tree exactly and isomorphisms map centres to
+    centres, so two trees get the same code exactly when they are
+    isomorphic."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(n) if deg[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(code(c, -1) for c in layer)
+
+
+def _tree_from_code(code: str) -> list[tuple[int, int]]:
+    """Edges of the tree an AHU code names, its vertices numbered in
+    preorder from the root 0."""
+    edges: list[tuple[int, int]] = []
+    stack: list[int] = []
+    n = 0
+    for ch in code:
+        if ch == "(":
+            if stack:
+                edges.append((stack[-1], n))
+            stack.append(n)
+            n += 1
+        else:
+            stack.pop()
+    return edges
 
 
 def relabel(g: SimpleGraph, perm: dict[int, int] | list[int]) -> SimpleGraph:

@@ -65,6 +65,8 @@ from .graphs import (
     Lambda,
     Multigraph,
     SimpleGraph,
+    _tree_code,
+    _tree_from_code,
     automorphism_count,
     canonical_form,
     component_class_string,
@@ -570,9 +572,17 @@ def block_universe(m: int, k: int) -> list[tuple[int, ...]]:
 
 
 def random_values(k: int, m: int, seed: int) -> dict[tuple[int, ...], int]:
-    """Deterministic pseudorandom value map on the k-subsets of {1..m}."""
+    """Deterministic pseudorandom value map on the k-subsets of {1..m}.
+
+    Each call returns a fresh dict over values drawn once per (k, m, seed)."""
+    return dict(zip(block_universe(m, k), _random_value_tuple(k, m, seed)))
+
+
+@lru_cache(maxsize=256)
+def _random_value_tuple(k: int, m: int, seed: int) -> tuple[int, ...]:
+    """The values of ``random_values``, in ``block_universe(m, k)`` order."""
     rng = random.Random(f"{seed}:{k}:{m}")
-    return {b: rng.randrange(1, FIXED_PRIME) for b in block_universe(m, k)}
+    return tuple(rng.randrange(1, FIXED_PRIME) for _ in block_universe(m, k))
 
 
 def direct_eval(
@@ -893,23 +903,6 @@ def _tree_classes(series: PSeries) -> frozenset[PClass]:
     )
 
 
-def _tree_code(n: int, edges) -> str:
-    """The least AHU code of a tree on n >= 2 vertices over its leaf rootings.
-
-    A rooted AHU code names the rooted tree exactly, and an isomorphism maps
-    leaves to leaves, so two trees get the same code exactly when they are
-    isomorphic."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    def code(v: int, parent: int) -> str:
-        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
-
-    return min(code(v, -1) for v in range(n) if len(adj[v]) == 1)
-
-
 def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     """Tree classes of the support: classes whose symbol graph is a tree
     on n+1 symbols.
@@ -924,8 +917,9 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     parent's block.  These 2^(n-1) fills are admissible by construction,
     and every tree class arises as one: each block meets its parent's
     block, and n blocks spanning a tree on n + 1 symbols each add exactly
-    one new symbol.  Fills are deduplicated by ``_tree_code`` before
-    canonicalisation.
+    one new symbol.  Fills are deduplicated by their centre-rooted AHU
+    code (``graphs._tree_code``), and one tree decoded from each distinct
+    code is canonicalised, so each distinct tree costs one canonical form.
     """
     _check_k(k)
     if k == 1:
@@ -941,11 +935,10 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     fills = [[(0, 1)]]
     for i in range(1, n):
         fills = [f + [(s, i + 1)] for f in fills for s in f[earlier[i][0]]]
-    by_code: dict[str, list[tuple[int, int]]] = {}
-    for f in fills:
-        by_code.setdefault(_tree_code(n + 1, f), f)
+    codes = {_tree_code(n + 1, f) for f in fills}
     return frozenset(
-        (canonical_form(SimpleGraph.from_edges(n + 1, f)),) for f in by_code.values()
+        (canonical_form(SimpleGraph.from_edges(n + 1, _tree_from_code(c))),)
+        for c in codes
     )
 
 
@@ -965,20 +958,26 @@ def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
 def _minimal_profile(classes) -> tuple[frozenset[PClass], tuple[int, ...]]:
     """The tree classes of lexicographically least profile, and that profile.
 
-    Each class is profiled once.  Raises ``ValueError`` unless ``classes``
-    is a non-empty iterable of single tree classes."""
-    profiled: dict[PClass, tuple[int, ...]] = {}
-    for cls in classes:
-        cls = tuple(cls)
-        if len(cls) != 1 or not _form_is_tree(cls[0]):
-            raise ValueError(f"{cls!r} is not a single tree class")
-        tree = graph_from_form(cls[0])
-        assert isinstance(tree, SimpleGraph)
-        profiled[cls] = min_degree_sequence(tree)
+    Raises ``ValueError`` unless ``classes`` is a non-empty iterable of
+    single tree classes."""
+    profiled = {cls: _class_profile(cls) for cls in map(tuple, classes)}
     if not profiled:
         raise ValueError("no tree classes to reconstruct from")
     best = min(profiled.values())
     return frozenset(c for c, p in profiled.items() if p == best), best
+
+
+@lru_cache(maxsize=1 << 12)
+def _class_profile(cls: PClass) -> tuple[int, ...]:
+    """Minimum rooted degree sequence of a single tree class's symbol tree.
+
+    Cached by class in a bounded ``lru_cache`` of 4096 entries, so each
+    distinct tree is checked and profiled once per process."""
+    if len(cls) != 1 or not _form_is_tree(cls[0]):
+        raise ValueError(f"{cls!r} is not a single tree class")
+    tree = graph_from_form(cls[0])
+    assert isinstance(tree, SimpleGraph)
+    return min_degree_sequence(tree)
 
 
 @dataclass(frozen=True)

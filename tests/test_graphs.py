@@ -8,6 +8,8 @@ import random
 import networkx as nx
 import pytest
 
+from oracles import prufer_decode
+
 from kneserchrom import (
     CapExceededError,
     Lambda,
@@ -29,6 +31,7 @@ from kneserchrom import (
     relabel,
     singleton_class_string,
 )
+from kneserchrom.graphs import _tree_code, _tree_from_code
 
 
 def test_simple_graph_construction():
@@ -118,6 +121,27 @@ def test_canonical_form_cap():
     big = SimpleGraph.from_edges(15, [(i, i + 1) for i in range(14)])
     with pytest.raises(CapExceededError):
         canonical_form(big)
+
+
+def test_tree_code_agrees_with_canonical_form():
+    # every labelled tree with n <= 7: equal codes exactly for equal forms,
+    # and each code decodes to a tree that encodes back to it
+    for n in range(1, 8):
+        labelled = [[]] if n == 1 else [
+            prufer_decode(list(seq), n) for seq in itertools.product(range(n), repeat=n - 2)
+        ]
+        pairs = {
+            (_tree_code(n, edges), canonical_form(SimpleGraph.from_edges(n, edges)))
+            for edges in labelled
+        }
+        codes = {c for c, _ in pairs}
+        assert len(codes) == len({f for _, f in pairs}) == len(pairs)
+        for c in codes:
+            assert _tree_code(n, _tree_from_code(c)) == c
+    assert _tree_code(1, []) == "()" and _tree_from_code("()") == []
+    assert _tree_code(2, [(1, 0)]) == "(())" and _tree_from_code("(())") == [(0, 1)]
+    # two centres (the middle of P4): both rootings give the same least code
+    assert _tree_code(4, [(0, 1), (1, 2), (2, 3)]) == _tree_code(4, [(2, 0), (0, 3), (3, 1)])
 
 
 def test_parse_and_materialise_form():

@@ -228,6 +228,8 @@ def test_evaluation_rejects_missing_blocks():
     for evaluate in (pseries_eval, lambda s, m, v: direct_eval(P3, 2, m, v)):
         with pytest.raises(ValueError, match=r"value map is missing blocks, e\.g\. \(2, 3\)"):
             evaluate(series, 4, vals)
+    # each call returns a fresh map, so the deletion did not reach later callers
+    assert random_values(2, 4, seed=1).keys() == set(block_universe(4, 2))
 
 
 def test_orbit_sum_kernel_matches_brute_oracle():

@@ -1,4 +1,5 @@
-"""Property tests: relabel-invariance of the isomorphism-invariant outputs,
+"""Property tests: relabel-invariance of the isomorphism-invariant outputs
+(the tree code among them),
 series evaluation against direct evaluation, and the graph6 round trip, on
 Hypothesis-drawn graphs and trees.
 
@@ -32,6 +33,7 @@ from kneserchrom import (
     true_basis,
     write_graph6,
 )
+from kneserchrom.graphs import _tree_code
 from kneserchrom.kneser import _psum_subsets
 
 #: a k = 2 series assembles all 2^|E| spanning subgraphs; 8 edges keep one
@@ -83,6 +85,13 @@ def test_profiles_are_relabel_invariant(case):
     t, perm, h = case
     assert min_degree_sequence(h) == min_degree_sequence(t)
     assert minimum_leaves(h) == tuple(sorted(perm[v] for v in minimum_leaves(t)))
+
+
+@bounded(60)
+@given(relabelled(trees(max_n=14)))
+def test_tree_code_is_relabel_invariant(case):
+    t, _, h = case
+    assert _tree_code(h.n, h.edges) == _tree_code(t.n, t.edges)
 
 
 @bounded(40)
