@@ -35,7 +35,7 @@ from .graphs import (
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERTEX_CAP + 1)
 def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
     """All free trees on ``n`` vertices, one canonical representative each.
 
@@ -62,7 +62,7 @@ def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=VERTEX_CAP + 1)
 def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
     """All simple graphs on ``n`` vertices up to isomorphism.
 

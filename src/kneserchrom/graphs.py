@@ -475,6 +475,18 @@ def _tree_from_code(code: str) -> list[tuple[int, int]]:
     return edges
 
 
+def _code_children(code: str) -> list[str]:
+    """The codes of the root's children in a rooted AHU code, left to right."""
+    children: list[str] = []
+    depth, start = 0, 1
+    for i in range(1, len(code) - 1):
+        depth += 1 if code[i] == "(" else -1
+        if depth == 0:
+            children.append(code[start : i + 1])
+            start = i + 1
+    return children
+
+
 def relabel(g: SimpleGraph, perm: dict[int, int] | list[int]) -> SimpleGraph:
     """Apply a vertex bijection (``perm[v]`` = new label of ``v``)."""
     if isinstance(perm, list):

@@ -65,6 +65,7 @@ from .graphs import (
     Lambda,
     Multigraph,
     SimpleGraph,
+    _code_children,
     _tree_code,
     _tree_from_code,
     automorphism_count,
@@ -83,7 +84,7 @@ from .profiles import min_degree_sequence, minimum_leaves, rooted_order
 
 #: full subset expansions are enumerated only up to this many vertices
 PSUM_VERTEX_CAP = 7
-#: tree-class extraction for a tree (2^(n-1) breadth-first fills) is capped here
+#: tree-class extraction for a tree is capped here
 LAMBDA_T_CAP = 9
 #: fixed public 61-bit prime for all modular evaluation (2^61 - 1)
 FIXED_PRIME = (1 << 61) - 1
@@ -212,7 +213,7 @@ def _component_order(g: SimpleGraph) -> tuple[list[list[int]], list[int]]:
     return earlier, twin_prev
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _component_classes(form: str, k: int) -> frozenset[str]:
     """Admissible classes of the connected shape named by ``form``.
 
@@ -269,7 +270,7 @@ def _component_classes(form: str, k: int) -> frozenset[str]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _component_weights(form: str, k: int) -> dict[str, int]:
     """Witness counts W(shape, class) for every admissible class of a shape.
 
@@ -429,7 +430,7 @@ def _psum_subsets(
 # --- fast k = 1 route: partitions into connected pieces ---------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _tutte_10(form: str) -> int:
     """T_G(1, 0) of the connected multigraph named by ``form``.
 
@@ -508,7 +509,7 @@ def _psum_k1(g: SimpleGraph, collect_union: bool = False) -> tuple[dict[PClass, 
     return {c: v for c, v in terms.items() if v}, union
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _psum_terms(form: str, k: int, coeffs: str) -> tuple[tuple[PClass, int], ...]:
     """The series terms of the graph named by ``form``, as (class, coeff)
     items, so that every caller builds its own dict from them."""
@@ -628,7 +629,7 @@ def direct_eval(
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _component_blocks(form: str) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """(symbol count, blocks, automorphism count) for a component string."""
     w, pairs = parse_form(form)
@@ -778,7 +779,7 @@ def _sub_multisets(items: list[tuple[int, ...]], size: int):
         yield sorted(sub), complement
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _merge_expansion(t_class: PClass, comp: str) -> tuple[tuple[PClass, int], ...]:
     """Expansion of  O_{t_class} * O_{comp}  in disjoint-support classes.
 
@@ -791,7 +792,7 @@ def _merge_expansion(t_class: PClass, comp: str) -> tuple[tuple[PClass, int], ..
     once.  The coefficient of a candidate D counts the splits of D's
     representative into a ``comp``-part and a ``t_class``-part, which is
     exactly the orbit-sum product coefficient.  Expansions are cached per
-    (t_class, comp) pair in an ``lru_cache`` without a size bound.
+    (t_class, comp) pair in a bounded ``lru_cache`` of 4096 entries.
     """
     t_blocks = _class_rep_blocks(t_class)
     w_t = sum(parse_form(c)[0] for c in t_class)
@@ -911,15 +912,24 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     other graphs the full series is computed and filtered.  For a tree G
     (only the full edge set can contribute a connected class, so the tree
     classes are the admissible ones) the classes are read off G directly.
-    In breadth-first order every vertex after the first has exactly one
-    earlier neighbour, its parent; the first vertex gets the block {0, 1}
-    and the vertex at position i gets {s, i + 1} with s a symbol of its
-    parent's block.  These 2^(n-1) fills are admissible by construction,
-    and every tree class arises as one: each block meets its parent's
-    block, and n blocks spanning a tree on n + 1 symbols each add exactly
-    one new symbol.  Fills are deduplicated by their centre-rooted AHU
-    code (``graphs._tree_code``), and one tree decoded from each distinct
-    code is canonicalised, so each distinct tree costs one canonical form.
+    Root G anywhere and give the root the block {0, 1}; every other vertex
+    gets {s, t} with s a symbol of its parent's block and t a new symbol.
+    These fills are admissible by construction, and every tree class
+    arises as one, from any root: each block meets its parent's block, and
+    n blocks spanning a tree on n + 1 symbols each add exactly one new
+    symbol.
+
+    The 2^(n-1) fills are not built.  G is rooted at its centre, and a
+    dynamic programme over its AHU code (``graphs._tree_code``) collects
+    what each vertex's descendants can hang at the two symbols of its
+    block (``_side_pairs``).  What a subtree hangs at its parent's symbol
+    depends only on the subtree's shape, so ``_hangs`` caches it by the
+    subtree's rooted code in a bounded ``lru_cache`` of 4096 entries; all
+    95 trees inside the cap need only 24 rooted shapes.  The root's pairs,
+    the largest sets, are computed uncached.  Each root pair names the
+    symbol tree rooted at the edge {0, 1}, and ``_edge_rooted_form``
+    canonicalises each distinct one once, in a bounded ``lru_cache`` of
+    16 384 entries keyed by that edge-rooted code.
     """
     _check_k(k)
     if k == 1:
@@ -931,15 +941,58 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
         raise CapExceededError(
             f"tree-class extraction capped at {LAMBDA_T_CAP} vertices (got {n})"
         )
-    _order, earlier = _search_order(g)
-    fills = [[(0, 1)]]
-    for i in range(1, n):
-        fills = [f + [(s, i + 1)] for f in fills for s in f[earlier[i][0]]]
-    codes = {_tree_code(n + 1, f) for f in fills}
+    codes = set()
+    for a, b in _side_pairs(_code_children(_tree_code(n, g.edges))):
+        # the lesser side roots the code, so a pair and its mirror agree
+        x, y = sorted(("(" + "".join(a) + ")", "(" + "".join(b) + ")"))
+        codes.add(x[:-1] + y + ")")
+    return frozenset((_edge_rooted_form(c),) for c in codes)
+
+
+def _side_pairs(child_codes: list[str]) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Below a vertex with block {shared, new} whose children have the
+    rooted codes ``child_codes``: every (codes hanging at new, codes hanging
+    at shared) that some fill of the subtrees yields, each side sorted.
+
+    Each child takes one of the two symbols as its own shared symbol and
+    hangs there what ``_hangs`` says it can."""
+    pairs = {((), ())}
+    for child in child_codes:
+        hangs = _hangs(child)
+        pairs = {
+            pair
+            for new, shared in pairs
+            for h in hangs
+            for pair in (
+                (tuple(sorted(new + h)), shared),
+                (new, tuple(sorted(shared + h))),
+            )
+        }
+    return pairs
+
+
+@lru_cache(maxsize=1 << 12)
+def _hangs(code: str) -> frozenset[tuple[str, ...]]:
+    """The sorted codes a vertex with rooted code ``code`` and its subtree
+    can hang at the symbol its block shares with its parent's: what its
+    children hang there, plus its own new symbol with what they hang at
+    that."""
     return frozenset(
-        (canonical_form(SimpleGraph.from_edges(n + 1, _tree_from_code(c))),)
-        for c in codes
+        tuple(sorted(shared + ("(" + "".join(new) + ")",)))
+        for new, shared in _side_pairs(_code_children(code))
     )
+
+
+@lru_cache(maxsize=1 << 14)
+def _edge_rooted_form(code: str) -> str:
+    """Canonical form of the tree a rooted AHU code names.
+
+    The tree is relabelled through its centre-rooted code first, so every
+    rooting of one tree reaches ``canonical_form`` with the same labelled
+    edges and hits its cache."""
+    n = code.count("(")
+    centred = _tree_from_code(_tree_code(n, _tree_from_code(code)))
+    return canonical_form(SimpleGraph.from_edges(n, centred))
 
 
 def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:

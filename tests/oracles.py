@@ -1,13 +1,18 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: plain exhaustive enumeration and
-textbook recursions, sharing no code with the library under test.  Slow but
-obviously correct at the sizes the tests use.
+textbook recursions, sharing no code with the library under test except
+``canonical_form``, which names isomorphism classes (``test_graphs`` checks
+it against the tree code and by relabelling).  Slow but obviously correct
+at the sizes the tests use.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations, product
+
+from kneserchrom import SimpleGraph, canonical_form
 
 
 def brute_direct_eval(n, edges, k, m, values, prime):
@@ -123,3 +128,43 @@ def prufer_decode(seq, n):
     last = [v for v in range(n) if degree[v] == 1]
     edges.append((min(last), max(last)))
     return edges
+
+
+@cache
+def labelled_trees(n):
+    """Every labelled tree on n vertices with its canonical form: one
+    (edges, form) per Pruefer sequence, in ``itertools.product`` order; for
+    n = 1 the one-vertex tree.  Cached, so every scan of one n pays its
+    canonical forms once."""
+    edge_lists = [[]] if n == 1 else [
+        prufer_decode(list(seq), n) for seq in product(range(n), repeat=n - 2)
+    ]
+    return tuple(
+        (tuple(edges), canonical_form(SimpleGraph.from_edges(n, edges)))
+        for edges in edge_lists
+    )
+
+
+def brute_tree_classes(n, edges):
+    """Tree classes of a tree on n vertices, from all 2^(n-1) breadth-first
+    fills rooted at vertex 0.
+
+    The root gets the block {0, 1}; the vertex at breadth-first position i
+    gets {s, i + 1} for each symbol s of its parent's block.  Each fill's
+    symbol tree on n + 1 symbols is named by its canonical form."""
+    adj = {v: [] for v in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    order, parent = [0], {0: None}
+    for v in order:  # grows while it is read: a breadth-first queue
+        for w in sorted(adj[v]):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    fills = [{0: (0, 1)}]
+    for i, v in enumerate(order[1:], start=1):
+        fills = [{**f, v: (s, i + 1)} for f in fills for s in f[parent[v]]]
+    return frozenset(
+        (canonical_form(SimpleGraph.from_edges(n + 1, f.values())),) for f in fills
+    )

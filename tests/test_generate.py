@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from oracles import prufer_decode
+from oracles import labelled_trees, prufer_decode
 
 from kneserchrom import (
     FREE_TREE_COUNTS,
@@ -37,12 +37,14 @@ def test_enumerated_trees_are_distinct_trees():
 
 def test_trees_match_prufer_enumeration():
     # every labelled tree arises from a Pruefer sequence, so the canonical
-    # forms of all decoded sequences must equal the enumerated class list
+    # forms of all decoded sequences must equal the enumerated class list;
+    # the forms come from the oracle's scan, whose edges must match ours
     for n in range(2, 8):
         seen = set()
-        for seq in itertools.product(range(n), repeat=n - 2):
-            g = prufer_tree(seq, n)
-            seen.add(canonical_form(g))
+        seqs = itertools.product(range(n), repeat=n - 2)
+        for seq, (edges, form) in zip(seqs, labelled_trees(n), strict=True):
+            assert prufer_tree(seq, n).sorted_edges() == sorted(edges)
+            seen.add(form)
         assert seen == {canonical_form(t) for t in enumerate_trees(n)}
 
 

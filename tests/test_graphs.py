@@ -8,7 +8,7 @@ import random
 import networkx as nx
 import pytest
 
-from oracles import prufer_decode
+from oracles import labelled_trees
 
 from kneserchrom import (
     CapExceededError,
@@ -127,13 +127,7 @@ def test_tree_code_agrees_with_canonical_form():
     # every labelled tree with n <= 7: equal codes exactly for equal forms,
     # and each code decodes to a tree that encodes back to it
     for n in range(1, 8):
-        labelled = [[]] if n == 1 else [
-            prufer_decode(list(seq), n) for seq in itertools.product(range(n), repeat=n - 2)
-        ]
-        pairs = {
-            (_tree_code(n, edges), canonical_form(SimpleGraph.from_edges(n, edges)))
-            for edges in labelled
-        }
+        pairs = {(_tree_code(n, edges), form) for edges, form in labelled_trees(n)}
         codes = {c for c, _ in pairs}
         assert len(codes) == len({f for _, f in pairs}) == len(pairs)
         for c in codes:

@@ -15,6 +15,7 @@ from oracles import (
     all_block_bijections,
     brute_direct_eval,
     brute_orbit_sum,
+    brute_tree_classes,
     chromatic_polynomial_value,
 )
 
@@ -466,7 +467,7 @@ def test_lambda_t_of_every_tree_up_to_the_cap():
     # sha256 over the sorted tree classes of every tree with n <= 9, in
     # enumeration order (2694 classes); the digest was recorded from the
     # earlier route that tested every free tree on n + 1 vertices for
-    # admissibility, so it pins the breadth-first construction to it
+    # admissibility, so it pins the dynamic programme over the tree code to it
     digest = hashlib.sha256()
     for n in range(1, 10):
         for t in enumerate_trees(n):
@@ -477,6 +478,14 @@ def test_lambda_t_of_every_tree_up_to_the_cap():
     path10 = SimpleGraph.from_edges(10, [(i, i + 1) for i in range(9)])
     with pytest.raises(CapExceededError):
         lambda_t(path10)
+
+
+def test_lambda_t_equals_breadth_first_fills():
+    # the oracle builds all 2^(n-1) fills from vertex 0, the dynamic
+    # programme works from the centre, so this also checks root independence
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            assert lambda_t(t) == brute_tree_classes(n, t.edges)
 
 
 def test_lambda_t_of_a_cycle():

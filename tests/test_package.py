@@ -1,9 +1,11 @@
-"""The package namespace: ``__all__`` names every public export, and no
-module of the package or the tests imports a name it never uses."""
+"""The package namespace: ``__all__`` names every public export, no module
+of the package or the tests imports a name it never uses, and no
+module-level cache of the package grows without bound."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -56,3 +58,40 @@ def test_no_unused_module_imports():
     paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert len(paths) > 10
     assert [u for path in paths for u in unused_imports(path)] == []
+
+
+def unbounded_caches(path: Path) -> list[str]:
+    """Module-level functions of ``path`` cached without an integer bound.
+
+    A ``cache``, or an ``lru_cache`` whose ``maxsize`` is missing or does not
+    evaluate to an integer in the module's namespace, is flagged: it could
+    hold its entries for the life of the process.  A cache nested inside a
+    function lives for one call, so it is exempt.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module = "kneserchrom" if path.stem == "__init__" else f"kneserchrom.{path.stem}"
+    flagged = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in ("cache", "lru_cache"):
+                continue
+            bound = None
+            if call and name == "lru_cache":
+                given = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args
+                if given:
+                    expr = compile(ast.Expression(given[0]), str(path), "eval")
+                    bound = eval(expr, vars(importlib.import_module(module)))
+            if type(bound) is not int:
+                flagged.append(f"{path.name}:{node.lineno} {node.name}")
+    return flagged
+
+
+def test_module_caches_are_bounded():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 5
+    assert [f for path in paths for f in unbounded_caches(path)] == []

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from oracles import prufer_decode
 
 from kneserchrom import (
+    LAMBDA_T_CAP,
     SimpleGraph,
     canonical_form,
     direct_eval,
@@ -95,7 +96,7 @@ def test_tree_code_is_relabel_invariant(case):
 
 
 @bounded(40)
-@given(relabelled(trees(max_n=7)))
+@given(relabelled(trees(max_n=LAMBDA_T_CAP)))
 def test_lambda_t_is_relabel_invariant(case):
     t, _, h = case
     assert lambda_t(h) == lambda_t(t)
