@@ -18,8 +18,15 @@ from pathlib import Path
 
 from .generate import enumerate_graphs, enumerate_trees
 from .graph6 import write_graph6
-from .graphs import SimpleGraph, are_isomorphic, canonical_form, graph_from_form
+from .graphs import (
+    CapExceededError,
+    SimpleGraph,
+    are_isomorphic,
+    canonical_form,
+    graph_from_form,
+)
 from .kneser import (
+    PSUM_VERTEX_CAP,
     PSeries,
     _minimal_profile,
     augment_tree_lambda,
@@ -238,9 +245,15 @@ def collide_search(
     land in ``fingerprint_collisions``.  The latter genuinely occur: two
     representations can agree on every value map with at most 6 symbols yet
     differ in disjoint-support classes spreading over more symbols.
+    An ``n_max`` above ``PSUM_VERTEX_CAP`` raises ``CapExceededError``
+    before any series is computed.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    if n_max > PSUM_VERTEX_CAP:
+        raise CapExceededError(
+            f"collision search capped at {PSUM_VERTEX_CAP} vertices (got {n_max})"
+        )
     collisions: list[dict] = []
     fp_collisions: list[dict] = []
     graphs_seen = 0

@@ -59,6 +59,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 
 from .graphs import (
     CapExceededError,
@@ -353,16 +354,14 @@ class PSeries:
             n = int(data["n"])
             k = int(data["k"])
             coeffs = data.get("coeffs", "witness")
-            raw = data["terms"]
+            entries = [(tuple(e["class"]), int(e["coeff"])) for e in data["terms"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed series payload: {exc}") from exc
         _check_k(k)
         if coeffs not in ("witness", "indicator"):
             raise ValueError(f"unknown coefficient normalisation {coeffs!r}")
         terms: dict[PClass, int] = {}
-        for entry in raw:
-            cls = tuple(entry["class"])
-            coeff = int(entry["coeff"])
+        for cls, coeff in entries:
             if not all(isinstance(c, str) and ":" in c for c in cls):
                 raise ValueError(f"malformed class {cls!r}")
             if cls != tuple(sorted(cls)):
@@ -751,48 +750,35 @@ def _class_rep_blocks(pclass: PClass) -> list[tuple[int, ...]]:
     return sorted(blocks)
 
 
-def _class_of_blocks(blocks) -> PClass:
-    if not blocks:
-        return ()
-    return lambda_class(Lambda.from_blocks(len(blocks[0]), blocks))
-
-
-def _sub_multisets(items: list[tuple[int, ...]], size: int):
-    """Distinct sub-multisets of the given size, each with its complement."""
-    counts = Counter(items)
-    distinct = sorted(counts)
-
-    def rec(i: int, left: int, taken: list[tuple[int, ...]]):
-        if left == 0:
-            yield list(taken)
-            return
-        if i == len(distinct):
-            return
-        b = distinct[i]
-        for j in range(min(counts[b], left), -1, -1):
-            yield from rec(i + 1, left - j, taken + [b] * j)
-
-    for sub in rec(0, size, []):
-        rest = Counter(items)
-        rest.subtract(Counter(sub))
-        complement = sorted(rest.elements())
-        yield sorted(sub), complement
+def _class_aut(pclass: PClass) -> int:
+    """Symbol permutations fixing a class representative: each component's
+    automorphism count, and every reordering of equal components."""
+    aut = 1
+    for comp, mult in Counter(pclass).items():
+        aut *= _component_blocks(comp)[2] ** mult * factorial(mult)
+    return aut
 
 
 @lru_cache(maxsize=1 << 12)
 def _merge_expansion(t_class: PClass, comp: str) -> tuple[tuple[PClass, int], ...]:
     """Expansion of  O_{t_class} * O_{comp}  in disjoint-support classes.
 
-    Candidate result classes are found by overlaying a labelled
-    representative of ``comp`` on the representative of ``t_class`` in every
-    injective way (fresh symbols included).  The fresh symbols are
-    interchangeable, so only images that take them in increasing order are
-    overlaid.  Many images still give the same labelled overlay, so the
-    distinct sorted overlays are collected first and each is canonicalised
-    once.  The coefficient of a candidate D counts the splits of D's
-    representative into a ``comp``-part and a ``t_class``-part, which is
-    exactly the orbit-sum product coefficient.  Expansions are cached per
-    (t_class, comp) pair in a bounded ``lru_cache`` of 4096 entries.
+    Write T for ``t_class`` (w_T symbols) and C for ``comp``.  A labelled
+    representative of C is overlaid on that of T in every injective way,
+    keeping only the images that take fresh symbols in increasing order
+    (the fresh symbols are interchangeable).  Each distinct overlay is
+    canonicalised once, and R_D counts the kept images landing in class D:
+
+        beta_D = aut(D) * R_D / (aut(T) * aut(C))    (aut: ``_class_aut``).
+
+    On N symbols, count the pairs (t, c) of orbit members with t + c in the
+    orbit of D two ways: |orbit(D)| * beta_D, or |orbit(T)| times the images
+    of C completing one t to D.  A kept image with f fresh symbols stands
+    for (N - w_T)! / (N - w_T - f)! injective images, aut(C) injective
+    images give one labelled image, and |orbit(X)| = N! / ((N - w_X)! aut(X)),
+    so every N-dependent factor cancels.  A division that is not exact
+    raises ``RuntimeError``.  Expansions are cached per (t_class, comp) pair
+    in a bounded ``lru_cache`` of 4096 entries.
     """
     t_blocks = _class_rep_blocks(t_class)
     w_t = sum(parse_form(c)[0] for c in t_class)
@@ -802,22 +788,20 @@ def _merge_expansion(t_class: PClass, comp: str) -> tuple[tuple[PClass, int], ..
         fresh = [s for s in image if s >= w_t]
         return fresh == list(range(w_t, w_t + len(fresh)))
 
-    overlays = {
+    overlays = Counter(
         tuple(sorted(t_blocks + [tuple(sorted(image[s] for s in b)) for b in c_pairs]))
         for image in permutations(range(w_t + w_c), w_c)
         if fresh_in_order(image)
-    }
-    candidates = {_class_of_blocks(blocks) for blocks in overlays}
+    )
+    images: Counter = Counter()
+    for blocks, count in overlays.items():
+        images[lambda_class(Lambda.from_blocks(len(blocks[0]), blocks))] += count
+    denom = _class_aut(t_class) * _class_aut((comp,))
     out = []
-    size = len(c_pairs)
-    for cand in sorted(candidates):
-        rep = _class_rep_blocks(cand)
-        beta = 0
-        for sub, complement in _sub_multisets(rep, size):
-            if _class_of_blocks(sub) == (comp,) and _class_of_blocks(complement) == t_class:
-                beta += 1
-        if beta == 0:
-            raise RuntimeError("candidate class without a witnessing split")
+    for cand, count in sorted(images.items()):
+        beta, rest = divmod(_class_aut(cand) * count, denom)
+        if rest:
+            raise RuntimeError("merge coefficient not divisible by automorphism counts")
         out.append((cand, beta))
     return tuple(out)
 

@@ -2,17 +2,19 @@
 
 Everything here is deliberately naive: plain exhaustive enumeration and
 textbook recursions, sharing no code with the library under test except
-``canonical_form``, which names isomorphism classes (``test_graphs`` checks
-it against the tree code and by relabelling).  Slow but obviously correct
-at the sizes the tests use.
+``canonical_form`` and ``lambda_class``, which name isomorphism classes of
+graphs and of block multisets (``test_graphs`` checks them against the tree
+code and by relabelling).  Slow but obviously correct at the sizes the
+tests use.
 """
 
 from __future__ import annotations
 
+import json
 from functools import cache
 from itertools import combinations, permutations, product
 
-from kneserchrom import SimpleGraph, canonical_form
+from kneserchrom import Lambda, SimpleGraph, canonical_form, lambda_class
 
 
 def brute_direct_eval(n, edges, k, m, values, prime):
@@ -168,3 +170,48 @@ def brute_tree_classes(n, edges):
     return frozenset(
         (canonical_form(SimpleGraph.from_edges(n + 1, f.values())),) for f in fills
     )
+
+
+def _class_representative(pclass):
+    """(symbol count, blocks) of a class: each component string
+    ``"w:[[..],..]"`` read as JSON and placed on its own symbol interval."""
+    blocks, offset = [], 0
+    for comp in pclass:
+        w, pairs = comp.split(":", 1)
+        blocks += [tuple(s + offset for s in b) for b in json.loads(pairs)]
+        offset += int(w)
+    return offset, blocks
+
+
+def brute_merge_expansion(t_class, comp):
+    """Expansion of O_{t_class} * O_{comp} in disjoint-support classes, as
+    {class: coefficient}, by counting splits.
+
+    The candidates are the classes of every injective image of ``comp``'s
+    representative onto the symbols of ``t_class``'s representative plus
+    fresh ones, with no ordering of the fresh symbols imposed.  The
+    coefficient of a candidate D is the number of distinct sub-multisets of
+    D's representative that form ``comp`` while their complement forms
+    ``t_class``, each part named by ``lambda_class``."""
+    w_t, t_blocks = _class_representative(t_class)
+    w_c, c_blocks = _class_representative((comp,))
+    k = len(c_blocks[0])
+
+    def name(blocks):
+        return lambda_class(Lambda.from_blocks(k, blocks))
+
+    overlays = {
+        tuple(sorted(t_blocks + [tuple(sorted(image[s] for s in b)) for b in c_blocks]))
+        for image in permutations(range(w_t + w_c), w_c)
+    }
+    out = {}
+    for cand in {name(blocks) for blocks in overlays}:
+        rep = [tuple(sorted(b)) for b in _class_representative(cand)[1]]
+        beta = 0
+        for sub in {tuple(sorted(s)) for s in combinations(rep, len(c_blocks))}:
+            rest = list(rep)
+            for b in sub:
+                rest.remove(b)
+            beta += name(sub) == (comp,) and name(rest) == tuple(t_class)
+        out[cand] = beta
+    return out

@@ -141,6 +141,17 @@ def test_collide_small(capsys):
     assert "collisions: 0  fingerprint clashes: 0" in out
 
 
+def test_collide_rejects_nmax_above_cap_before_any_series(capsys, monkeypatch):
+    from kneserchrom import catalog
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was computed before the cap check")
+
+    monkeypatch.setattr(catalog, "cached_psum", refuse)
+    code, out, err = run_cli(capsys, "collide", "--nmax", "8", "--k", "2")
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
 def test_exit_code_bad_graph6(capsys):
     code, _, err = run_cli(capsys, "invariant", "!!notagraph")
     assert code == 2 and err.startswith("error:")
@@ -177,6 +188,22 @@ def test_exit_code_reconstruct_no_tree_classes(capsys, tmp_path):
     )
     code, _, err = run_cli(capsys, "reconstruct", str(path))
     assert code == 2 and "no tree classes" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 3, "k": 2, "terms": [{}]},
+        {"n": 3, "k": 2, "terms": 5},
+        {"n": 3, "k": 2, "terms": [{"class": 5, "coeff": 1}]},
+    ],
+)
+def test_exit_code_reconstruct_malformed_terms(capsys, monkeypatch, payload):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code, _, err = run_cli(capsys, "reconstruct", "-")
+    assert code == 2 and err.startswith("error: malformed series payload")
 
 
 def test_exit_code_missing_file(capsys):

@@ -14,6 +14,7 @@ import pytest
 from oracles import (
     all_block_bijections,
     brute_direct_eval,
+    brute_merge_expansion,
     brute_orbit_sum,
     brute_tree_classes,
     chromatic_polynomial_value,
@@ -46,8 +47,10 @@ from kneserchrom import (
     random_values,
     true_basis,
 )
+from kneserchrom import kneser
 from kneserchrom.kneser import (
     _component_weights,
+    _merge_expansion,
     _orbit_sum,
     _psum_k1,
     _psum_subsets,
@@ -301,10 +304,15 @@ def test_invariant_check_survives_optimised_mode():
         real = kneser._component_blocks
         kneser._component_blocks = lambda form: real(form)[:2] + (5,)
         ones = tuple(1 for _ in block_universe(4, 2))
-        try:
-            kneser._orbit_sum("3:[[0,1],[1,2]]", 4, ones)
-        except RuntimeError as exc:
-            print(exc)
+        path = "3:[[0,2],[1,2]]"
+        for call in (
+            lambda: kneser._orbit_sum("3:[[0,1],[1,2]]", 4, ones),
+            lambda: kneser._merge_expansion((path,), path),
+        ):
+            try:
+                call()
+            except RuntimeError as exc:
+                print(exc)
         """
     )
     env = dict(os.environ)
@@ -320,7 +328,10 @@ def test_invariant_check_survives_optimised_mode():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "orbit sum not divisible by automorphism count"
+    assert proc.stdout.splitlines() == [
+        "orbit sum not divisible by automorphism count",
+        "merge coefficient not divisible by automorphism counts",
+    ]
 
 
 def test_psum_isomorphism_invariance():
@@ -387,6 +398,25 @@ def test_true_basis_matches_proper_map_census():
                     assert len(counts) == 1
                     expected[cls] = counts.pop()
                 assert true_basis(kneser_psum(g, k)) == expected
+
+
+def test_merge_expansion_equals_split_count(monkeypatch):
+    # every (t_class, comp) pair true_basis expands for a graph with n <= 5
+    pairs = set()
+
+    def recording(t_class, comp):
+        pairs.add((t_class, comp))
+        return _merge_expansion(t_class, comp)
+
+    monkeypatch.setattr(kneser, "_merge_expansion", recording)
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            for k in (1, 2):
+                for coeffs in ("witness", "indicator"):
+                    true_basis(kneser_psum(g, k, coeffs=coeffs))
+    assert len(pairs) == 147
+    for t_class, comp in sorted(pairs):
+        assert dict(_merge_expansion(t_class, comp)) == brute_merge_expansion(t_class, comp)
 
 
 def test_representation_collision_pair_differs_in_true_basis():

@@ -1,6 +1,7 @@
 """The package namespace: ``__all__`` names every public export, no module
-of the package or the tests imports a name it never uses, and no
-module-level cache of the package grows without bound."""
+of the package or the tests imports a name it never uses, no module-level
+cache of the package grows without bound, and no package check is an
+``assert`` that ``python -O`` would strip."""
 
 from __future__ import annotations
 
@@ -95,3 +96,38 @@ def test_module_caches_are_bounded():
     paths = sorted(PACKAGE.glob("*.py"))
     assert len(paths) > 5
     assert [f for path in paths for f in unbounded_caches(path)] == []
+
+
+def invariant_asserts(path: Path) -> list[str]:
+    """``assert`` statements of ``path`` that do more than narrow a type.
+
+    ``python -O`` strips every ``assert``, so a check the package relies on
+    must raise instead.  Only ``assert isinstance(...)`` and
+    ``assert x is not None``, which inform type checkers, are exempt.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    flagged = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assert):
+            continue
+        test = node.test
+        is_isinstance = (
+            isinstance(test, ast.Call)
+            and isinstance(test.func, ast.Name)
+            and test.func.id == "isinstance"
+        )
+        is_not_none = (
+            isinstance(test, ast.Compare)
+            and [type(op) for op in test.ops] == [ast.IsNot]
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None
+        )
+        if not (is_isinstance or is_not_none):
+            flagged.append(f"{path.name}:{node.lineno}")
+    return flagged
+
+
+def test_invariant_checks_are_not_asserts():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 5
+    assert [f for path in paths for f in invariant_asserts(path)] == []
