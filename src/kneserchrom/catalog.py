@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .generate import enumerate_graphs, enumerate_trees
@@ -124,13 +124,15 @@ class SeriesCache:
                     self.records[key] = series
 
     def get(self, g: SimpleGraph, k: int, coeffs: str) -> PSeries | None:
-        return self.records.get((canonical_graph6(g), k, coeffs))
+        """The stored series, with a ``terms`` dict of the caller's own."""
+        hit = self.records.get((canonical_graph6(g), k, coeffs))
+        return None if hit is None else replace(hit, terms=dict(hit.terms))
 
     def put(self, g: SimpleGraph, k: int, coeffs: str, series: PSeries) -> None:
         key = (canonical_graph6(g), k, coeffs)
         if key in self.records:
             return
-        self.records[key] = series
+        self.records[key] = replace(series, terms=dict(series.terms))
         record = {
             "version": CACHE_VERSION,
             "graph6": key[0],

@@ -17,7 +17,8 @@ restricted to permutations that respect the stable iterated degree
 refinement and deduplicated on twin vertices; that restriction is
 isomorphism-invariant, so equal strings still hold exactly for isomorphic
 inputs and the search stays tractable on the small, mostly rigid graphs
-this package works with.  A hard vertex cap keeps accidental huge inputs
+this package works with.  The same search counts automorphisms
+(``automorphism_count``).  A hard vertex cap keeps accidental huge inputs
 from hanging the process.
 """
 
@@ -268,14 +269,25 @@ def _refinement_classes(n: int, mat: list[list[int]]) -> list[list[int]]:
     return [classes[c] for c in sorted(classes)]
 
 
-def _canonical_edge_list(n: int, weighted_edges) -> list[list[int]]:
-    """Lexicographically least relabelled edge list over the searched orbit.
+def _canonical_edge_list(n: int, weighted_edges) -> tuple[list[list[int]], int]:
+    """Lexicographically least relabelled edge list over the searched orbit,
+    and the order of the automorphism group.
 
     The search assigns positions 0..n-1 class by class (classes from the
     stable refinement, in their canonical order), skipping a candidate
     vertex whenever swapping it with an already-tried candidate is an
     automorphism (twin vertices), and keeps the least sorted edge
-    multiset seen at the leaves.
+    multiset seen at the leaves, counting the leaves that reach it.
+
+    Why the count gives |Aut|: call u and v twins when mat[u][w] = mat[v][w]
+    for every w outside {u, v}.  This is an equivalence relation, and each
+    swap of two twins is an automorphism, so the twin group
+    T = prod Sym(twin class) is a subgroup of Aut.  Since tried twins are
+    skipped, each twin class is placed in slot order, and the search visits
+    exactly one labelling per orbit of T.  Automorphisms keep stable
+    colours, so the class-respecting labellings that reach the least edge
+    list form one coset of Aut, of size |Aut|.  T acts freely on that
+    coset, hence |Aut| = (leaves reaching the least list) * |T|.
     """
     mat = _adjacency_matrix(n, weighted_edges)
     classes = _refinement_classes(n, mat)
@@ -284,6 +296,7 @@ def _canonical_edge_list(n: int, weighted_edges) -> list[list[int]]:
         slots.extend([cls] * len(cls))
 
     best: list[tuple[int, int]] | None = None
+    hits = 0  # leaves that reached ``best``
     pos = [-1] * n  # vertex -> assigned position
 
     def twins(u: int, v: int) -> bool:
@@ -294,7 +307,7 @@ def _canonical_edge_list(n: int, weighted_edges) -> list[list[int]]:
         return True
 
     def leaf() -> None:
-        nonlocal best
+        nonlocal best, hits
         out: list[tuple[int, int]] = []
         for (u, v), mult in weighted_edges:
             a, b = pos[u], pos[v]
@@ -303,7 +316,8 @@ def _canonical_edge_list(n: int, weighted_edges) -> list[list[int]]:
             out.extend([(a, b)] * mult)
         out.sort()
         if best is None or out < best:
-            best = out
+            best, hits = out, 0
+        hits += out == best
 
     def extend(p: int) -> None:
         if p == n:
@@ -322,7 +336,12 @@ def _canonical_edge_list(n: int, weighted_edges) -> list[list[int]]:
 
     extend(0)
     assert best is not None
-    return [[u, v] for u, v in best]
+    # |T| = prod |twin class|!, as the m-th member of a twin class counts m
+    twin_group = 1
+    for cls in classes:
+        for i, v in enumerate(cls):
+            twin_group *= 1 + sum(twins(u, v) for u in cls[:i])
+    return [[u, v] for u, v in best], hits * twin_group
 
 
 def _weighted_edges(g: SimpleGraph | Multigraph, what: str) -> tuple:
@@ -338,14 +357,14 @@ def _weighted_edges(g: SimpleGraph | Multigraph, what: str) -> tuple:
 
 
 @lru_cache(maxsize=1 << 14)
-def _canonical_form_cached(n: int, weighted_edges: tuple) -> str:
-    """Form string of a labelled input, keyed by (n, its sorted weighted edges).
+def _canonical_form_cached(n: int, weighted_edges: tuple) -> tuple[str, int]:
+    """Form string and automorphism count, keyed by (n, sorted weighted edges).
 
     The key is labelled, so isomorphic inputs with different labels take
     separate entries.  The bound of 16384 entries sits far above the few
     hundred that tree verification or a collision search to n = 5 holds."""
-    body = _canonical_edge_list(n, weighted_edges)
-    return f"{n}:" + json.dumps(body, separators=(",", ":"))
+    body, aut = _canonical_edge_list(n, weighted_edges)
+    return f"{n}:" + json.dumps(body, separators=(",", ":")), aut
 
 
 def canonical_form(g: SimpleGraph | Multigraph) -> str:
@@ -355,7 +374,7 @@ def canonical_form(g: SimpleGraph | Multigraph) -> str:
     multiplicity), so two graphs get the same string exactly when they are
     isomorphic.  Raises ``CapExceededError`` above ``VERTEX_CAP`` vertices.
     """
-    return _canonical_form_cached(g.n, _weighted_edges(g, "canonical form"))
+    return _canonical_form_cached(g.n, _weighted_edges(g, "canonical form"))[0]
 
 
 def parse_form(form: str) -> tuple[int, list[tuple[int, int]]]:
@@ -390,40 +409,11 @@ def are_isomorphic(g: SimpleGraph | Multigraph, h: SimpleGraph | Multigraph) -> 
 def automorphism_count(g: SimpleGraph | Multigraph) -> int:
     """Order of the automorphism group.
 
-    Backtracking over label bijections restricted to the stable refinement
-    classes (automorphisms preserve stable colours, so nothing is missed);
-    a pair of vertices is checked the moment its later member is placed.
+    Read off the canonical-form search, which counts the labellings that
+    reach the least edge list (see ``_canonical_edge_list``); the result
+    shares ``canonical_form``'s cache entry.
     """
-    mat = _adjacency_matrix(g.n, _weighted_edges(g, "automorphism count"))
-    classes = _refinement_classes(g.n, mat)
-    class_of = [0] * g.n
-    for ci, cls in enumerate(classes):
-        for v in cls:
-            class_of[v] = ci
-    verts = [v for cls in classes for v in cls]
-    image = [-1] * g.n
-    used = [False] * g.n
-    count = 0
-
-    def extend(i: int) -> None:
-        nonlocal count
-        if i == g.n:
-            count += 1
-            return
-        v = verts[i]
-        row = mat[v]
-        for w in classes[class_of[v]]:
-            if used[w]:
-                continue
-            if all(row[verts[j]] == mat[w][image[verts[j]]] for j in range(i)):
-                used[w] = True
-                image[v] = w
-                extend(i + 1)
-                used[w] = False
-        image[v] = -1
-
-    extend(0)
-    return count
+    return _canonical_form_cached(g.n, _weighted_edges(g, "automorphism count"))[1]
 
 
 def _tree_code(n: int, edges) -> str:

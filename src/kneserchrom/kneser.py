@@ -317,6 +317,11 @@ def _check_k(k: int) -> None:
         raise ValueError("only k = 1 and k = 2 are supported")
 
 
+def _check_coeffs(coeffs: str) -> None:
+    if coeffs not in ("witness", "indicator"):
+        raise ValueError(f"unknown coefficient normalisation {coeffs!r}")
+
+
 @dataclass
 class PSeries:
     """A finite integer combination of block-multiset classes.
@@ -351,15 +356,16 @@ class PSeries:
     @staticmethod
     def from_json_dict(data: dict) -> "PSeries":
         try:
-            n = int(data["n"])
-            k = int(data["k"])
+            n, k = data["n"], data["k"]
             coeffs = data.get("coeffs", "witness")
-            entries = [(tuple(e["class"]), int(e["coeff"])) for e in data["terms"]]
+            entries = [(tuple(e["class"]), e["coeff"]) for e in data["terms"]]
+            # int() would truncate 1.9 or true; bool is a subclass of int
+            if any(type(x) is not int for x in (n, k, *(c for _, c in entries))):
+                raise TypeError("n, k and every coeff must be integers")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed series payload: {exc}") from exc
         _check_k(k)
-        if coeffs not in ("witness", "indicator"):
-            raise ValueError(f"unknown coefficient normalisation {coeffs!r}")
+        _check_coeffs(coeffs)
         terms: dict[PClass, int] = {}
         for cls, coeff in entries:
             if not all(isinstance(c, str) and ":" in c for c in cls):
@@ -529,8 +535,7 @@ def kneser_psum(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> PSeries:
     once per spanning subgraph.  Capped at ``PSUM_VERTEX_CAP`` vertices.
     """
     _check_k(k)
-    if coeffs not in ("witness", "indicator"):
-        raise ValueError(f"unknown coefficient normalisation {coeffs!r}")
+    _check_coeffs(coeffs)
     if g.n < 1:
         raise ValueError("need at least one vertex")
     if g.n > PSUM_VERTEX_CAP:
@@ -853,6 +858,7 @@ class SupportReport:
 def lambda_support(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> SupportReport:
     """Support of the series alongside the union over all spanning subgraphs."""
     _check_k(k)
+    _check_coeffs(coeffs)
     if g.n < 1:
         raise ValueError("need at least one vertex")
     if g.n > PSUM_VERTEX_CAP:

@@ -51,6 +51,16 @@ def brute_orbit_sum(w, blocks, m, values):
     return total
 
 
+def brute_automorphism_count(n, pairs):
+    """Vertex permutations of a multigraph on 0..n-1 that keep its multiset
+    of edges (``pairs``, one entry per parallel edge), by trying all n!."""
+    edges = sorted(tuple(sorted(p)) for p in pairs)
+    return sum(
+        sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges) == edges
+        for perm in permutations(range(n))
+    )
+
+
 def chromatic_polynomial_value(n, edges, m):
     """Proper m-colouring count by deletion-contraction.
 

@@ -94,6 +94,18 @@ def test_cache_round_trip_and_reload(tmp_path):
     assert path.read_text() == before
 
 
+def test_cache_hands_out_copies(tmp_path):
+    cache = SeriesCache(tmp_path / "series.jsonl")
+    bogus = ("9:[]",)
+    miss = cached_psum(P4, 2, "witness", cache)
+    expected = dict(miss.terms)
+    miss.terms[bogus] = 1
+    hit = cached_psum(P4, 2, "witness", cache)
+    assert hit.terms == expected
+    hit.terms[bogus] = 1
+    assert cached_psum(P4, 2, "witness", cache).terms == expected
+
+
 def test_cache_lines_are_compact_json(tmp_path):
     path = tmp_path / "series.jsonl"
     cache = SeriesCache(path)

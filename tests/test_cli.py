@@ -196,6 +196,11 @@ def test_exit_code_reconstruct_no_tree_classes(capsys, tmp_path):
         {"n": 3, "k": 2, "terms": [{}]},
         {"n": 3, "k": 2, "terms": 5},
         {"n": 3, "k": 2, "terms": [{"class": 5, "coeff": 1}]},
+        # numbers that int() would truncate into a reconstructible series
+        {"n": 2, "k": 2, "terms": [{"class": ["3:[[0,2],[1,2]]"], "coeff": 1.9}]},
+        {"n": 2, "k": 2, "terms": [{"class": ["3:[[0,2],[1,2]]"], "coeff": True}]},
+        {"n": 2.9, "k": 2, "terms": [{"class": ["3:[[0,2],[1,2]]"], "coeff": 1}]},
+        {"n": 2, "k": 2.0, "terms": [{"class": ["3:[[0,2],[1,2]]"], "coeff": 1}]},
     ],
 )
 def test_exit_code_reconstruct_malformed_terms(capsys, monkeypatch, payload):

@@ -8,7 +8,7 @@ import random
 import networkx as nx
 import pytest
 
-from oracles import labelled_trees
+from oracles import brute_automorphism_count, labelled_trees
 
 from kneserchrom import (
     CapExceededError,
@@ -32,6 +32,7 @@ from kneserchrom import (
     singleton_class_string,
 )
 from kneserchrom.graphs import _tree_code, _tree_from_code
+from kneserchrom.kneser import _component_classes
 
 
 def test_simple_graph_construction():
@@ -174,13 +175,32 @@ def test_automorphism_counts_known_groups():
 
 
 def test_automorphism_count_against_networkx():
-    for n in range(2, 6):
+    rng = random.Random(11)
+    for n in range(2, 7):
         for g in enumerate_graphs(n):
             ng = nx.Graph(g.sorted_edges())
             ng.add_nodes_from(range(g.n))
             matcher = nx.algorithms.isomorphism.GraphMatcher(ng, ng)
             expected = sum(1 for _ in matcher.isomorphisms_iter())
+            perm = list(range(n))
+            rng.shuffle(perm)
             assert automorphism_count(g) == expected
+            assert automorphism_count(relabel(g, perm)) == expected
+
+
+def test_automorphism_count_on_component_classes():
+    # the k = 2 symbol multigraphs the orbit sums divide by, parallel edges included
+    classes = set()
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            if is_connected(g):
+                classes |= _component_classes(canonical_form(g), 2)
+    assert len(classes) == 53
+    for form in sorted(classes):
+        w, pairs = parse_form(form)
+        assert automorphism_count(Multigraph.from_pairs(w, pairs)) == (
+            brute_automorphism_count(w, pairs)
+        ), form
 
 
 def test_relabel_and_induced_subgraph():

@@ -464,6 +464,12 @@ def test_lambda_support_k2_indicator_cancellation_exists():
     assert not witness.cancelled
 
 
+def test_unknown_normalisation_is_refused():
+    for compute in (kneser_psum, lambda_support):
+        with pytest.raises(ValueError, match="unknown coefficient normalisation 'witnes'"):
+            compute(P3, 2, coeffs="witnes")
+
+
 def test_lambda_t_of_small_trees():
     assert lambda_t(K2, 1) == frozenset()
     star_classes = lambda_t(STAR3)

@@ -1,7 +1,8 @@
 """The package namespace: ``__all__`` names every public export, no module
 of the package or the tests imports a name it never uses, no module-level
-cache of the package grows without bound, and no package check is an
-``assert`` that ``python -O`` would strip."""
+cache of the package grows without bound, no package check is an
+``assert`` that ``python -O`` would strip, and every name the benchmark
+traces still exists."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import kneserchrom
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = Path(kneserchrom.__file__).resolve().parent
+BENCH_CHILD = TESTS.parent / "bench" / "child.py"
 
 
 def test_all_matches_public_names():
@@ -131,3 +133,39 @@ def test_invariant_checks_are_not_asserts():
     paths = sorted(PACKAGE.glob("*.py"))
     assert len(paths) > 5
     assert [f for path in paths for f in invariant_asserts(path)] == []
+
+
+def bench_child_value(name: str) -> ast.expr:
+    """The expression ``bench/child.py`` assigns to ``name`` at module level."""
+    tree = ast.parse(BENCH_CHILD.read_text(), filename=str(BENCH_CHILD))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
+    raise AssertionError(f"{BENCH_CHILD.name} assigns no {name}")
+
+
+def test_bench_traced_names_resolve():
+    # the bench reports a renamed target as untraced and its metrics as 0,
+    # so the names it reads are checked here, without importing the script
+    targets = ast.literal_eval(bench_child_value("TARGETS"))
+    assert targets
+    missing = []
+    for module, attr, _span in targets:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr}")
+    lookups = [
+        node for node in ast.walk(bench_child_value("CACHES")) if isinstance(node, ast.Call)
+    ]
+    assert lookups
+    for call in lookups:
+        module, name = call.args[0].id, ast.literal_eval(call.args[1])
+        fn = getattr(importlib.import_module(f"kneserchrom.{module}"), name, None)
+        info = getattr(fn, "cache_info", None)
+        if not (callable(info) and type(info().maxsize) is int):
+            missing.append(f"kneserchrom.{module}.{name} (lru_cache)")
+    assert missing == []
