@@ -26,6 +26,7 @@ from .graphs import (
     graph_from_form,
 )
 from .kneser import (
+    PSUM_SUBSET_CAP,
     PSUM_VERTEX_CAP,
     PSeries,
     _minimal_profile,
@@ -247,8 +248,8 @@ def collide_search(
     land in ``fingerprint_collisions``.  The latter genuinely occur: two
     representations can agree on every value map with at most 6 symbols yet
     differ in disjoint-support classes spreading over more symbols.
-    An ``n_max`` above ``PSUM_VERTEX_CAP`` raises ``CapExceededError``
-    before any series is computed.
+    An ``n_max`` above ``PSUM_VERTEX_CAP``, or (k = 2) with K_{n_max} above
+    ``PSUM_SUBSET_CAP``, raises ``CapExceededError`` before any series.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -256,6 +257,8 @@ def collide_search(
         raise CapExceededError(
             f"collision search capped at {PSUM_VERTEX_CAP} vertices (got {n_max})"
         )
+    if k == 2 and 1 << (n_max * (n_max - 1) // 2) > PSUM_SUBSET_CAP:
+        raise CapExceededError(f"collision search capped at {PSUM_SUBSET_CAP} spanning subgraphs")
     collisions: list[dict] = []
     fp_collisions: list[dict] = []
     graphs_seen = 0

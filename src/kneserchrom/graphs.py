@@ -300,11 +300,11 @@ def _canonical_edge_list(n: int, weighted_edges) -> tuple[list[list[int]], int]:
     pos = [-1] * n  # vertex -> assigned position
 
     def twins(u: int, v: int) -> bool:
-        ru, rv = mat[u], mat[v]
-        for w in range(n):
-            if w != u and w != v and ru[w] != rv[w]:
-                return False
-        return True
+        # the matrix is symmetric with a zero diagonal, so u's row with its
+        # entries at u and v swapped equals v's row exactly for twins
+        row = mat[u][:]
+        row[u], row[v] = row[v], row[u]
+        return row == mat[v]
 
     def leaf() -> None:
         nonlocal best, hits
@@ -509,14 +509,19 @@ def component_class_string(part: Lambda) -> str:
     and canonicalised; for k = 1 connectivity forces a single symbol, so the
     class is determined by the block count alone.
     """
-    if part.k == 1:
-        if len({b[0] for b in part.blocks}) != 1:
-            raise ValueError("1-uniform component must use a single symbol")
-        return singleton_class_string(len(part.blocks))
-    symbols = part.symbols()
-    index = {s: i for i, s in enumerate(symbols)}
-    mg = Multigraph.from_pairs(len(symbols), ((index[a], index[b]) for a, b in part.blocks))
-    return canonical_form(mg)
+    if part.k == 1 and len({b[0] for b in part.blocks}) != 1:
+        raise ValueError("1-uniform component must use a single symbol")
+    return _blocks_class_string(part.blocks)
+
+
+def _blocks_class_string(blocks) -> str:
+    """``component_class_string`` of sorted blocks known to be connected,
+    with no ``Lambda`` built; k = 2 keeps ``canonical_form``'s size checks."""
+    if blocks and len(blocks[0]) == 1:
+        return singleton_class_string(len(blocks))
+    index = {s: i for i, s in enumerate(sorted({s for b in blocks for s in b}))}
+    pairs = ((index[a], index[b]) for a, b in blocks)
+    return canonical_form(Multigraph.from_pairs(len(index), pairs))
 
 
 def lambda_class(lam: Lambda) -> tuple[str, ...]:

@@ -58,7 +58,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 
 from .graphs import (
@@ -66,18 +66,17 @@ from .graphs import (
     Lambda,
     Multigraph,
     SimpleGraph,
+    _blocks_class_string,
     _code_children,
     _tree_code,
     _tree_from_code,
     automorphism_count,
     canonical_form,
-    component_class_string,
     graph_components,
     graph_from_form,
     induced_subgraph,
     is_connected,
     is_tree,
-    lambda_class,
     parse_form,
     singleton_class_string,
 )
@@ -85,6 +84,8 @@ from .profiles import min_degree_sequence, minimum_leaves, rooted_order
 
 #: full subset expansions are enumerated only up to this many vertices
 PSUM_VERTEX_CAP = 7
+#: k = 2 expansions visit every spanning subgraph: K6's 2^15 run, K7's 2^21 do not
+PSUM_SUBSET_CAP = 1 << 15
 #: tree-class extraction for a tree is capped here
 LAMBDA_T_CAP = 9
 #: fixed public 61-bit prime for all modular evaluation (2^61 - 1)
@@ -264,10 +265,7 @@ def _component_classes(form: str, k: int) -> frozenset[str]:
     extend(0, 0)
 
     return frozenset(
-        component_class_string(
-            Lambda.from_blocks(2, [((byte >> 4) & 15, byte & 15) for byte in enc])
-        )
-        for enc in seen
+        _blocks_class_string([((byte >> 4) & 15, byte & 15) for byte in enc]) for enc in seen
     )
 
 
@@ -322,6 +320,20 @@ def _check_coeffs(coeffs: str) -> None:
         raise ValueError(f"unknown coefficient normalisation {coeffs!r}")
 
 
+def _check_series_args(g: SimpleGraph, k: int, coeffs: str, what: str) -> None:
+    """Check k and ``coeffs``, then refuse an empty graph, one above
+    ``PSUM_VERTEX_CAP`` vertices, and for k = 2 one with more than
+    ``PSUM_SUBSET_CAP`` spanning subgraphs."""
+    _check_k(k)
+    _check_coeffs(coeffs)
+    if g.n < 1:
+        raise ValueError("need at least one vertex")
+    if g.n > PSUM_VERTEX_CAP:
+        raise CapExceededError(f"{what} capped at {PSUM_VERTEX_CAP} vertices (got {g.n})")
+    if k == 2 and 1 << len(g.edges) > PSUM_SUBSET_CAP:
+        raise CapExceededError(f"{what} capped at {PSUM_SUBSET_CAP} spanning subgraphs")
+
+
 @dataclass
 class PSeries:
     """A finite integer combination of block-multiset classes.
@@ -335,9 +347,6 @@ class PSeries:
     k: int
     coeffs: str
     terms: dict[PClass, int]
-
-    def support(self) -> frozenset[PClass]:
-        return frozenset(self.terms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -532,16 +541,10 @@ def kneser_psum(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> PSeries:
 
     ``coeffs="witness"`` gives the genuine expansion (what the evaluation
     oracle reproduces); ``coeffs="indicator"`` counts each admissible class
-    once per spanning subgraph.  Capped at ``PSUM_VERTEX_CAP`` vertices.
+    once per spanning subgraph.  Capped at ``PSUM_VERTEX_CAP`` vertices and,
+    for k = 2, at ``PSUM_SUBSET_CAP`` spanning subgraphs.
     """
-    _check_k(k)
-    _check_coeffs(coeffs)
-    if g.n < 1:
-        raise ValueError("need at least one vertex")
-    if g.n > PSUM_VERTEX_CAP:
-        raise CapExceededError(
-            f"power-sum expansion capped at {PSUM_VERTEX_CAP} vertices (got {g.n})"
-        )
+    _check_series_args(g, k, coeffs, "power-sum expansion")
     return PSeries(g.n, k, coeffs, dict(_psum_terms(canonical_form(g), k, coeffs)))
 
 
@@ -743,18 +746,6 @@ def pseries_eval(series: PSeries, m: int, values: dict[tuple[int, ...], int]) ->
 # sums have pairwise disjoint monomial supports.
 
 
-def _class_rep_blocks(pclass: PClass) -> list[tuple[int, ...]]:
-    """A labelled representative of a class: each component's canonical
-    representative placed on its own symbol interval."""
-    blocks: list[tuple[int, ...]] = []
-    offset = 0
-    for comp in pclass:
-        w, pairs = parse_form(comp)
-        blocks.extend(tuple(sorted(s + offset for s in b)) for b in pairs)
-        offset += w
-    return sorted(blocks)
-
-
 def _class_aut(pclass: PClass) -> int:
     """Symbol permutations fixing a class representative: each component's
     automorphism count, and every reordering of equal components."""
@@ -764,43 +755,63 @@ def _class_aut(pclass: PClass) -> int:
     return aut
 
 
+def _merge_images(w_t: int, w_c: int):
+    """Each injective image of the symbols 0..w_c-1 whose fresh symbols
+    (those >= w_t) are w_t, w_t + 1, ... in order, as a tuple: each symbol
+    in turn takes an unused old symbol or the next fresh one."""
+
+    def extend(image: tuple[int, ...]):
+        if len(image) == w_c:
+            yield image
+            return
+        fresh = w_t + sum(s >= w_t for s in image)
+        for s in [*(x for x in range(w_t) if x not in image), fresh]:
+            yield from extend(image + (s,))
+
+    return extend(())
+
+
 @lru_cache(maxsize=1 << 12)
 def _merge_expansion(t_class: PClass, comp: str) -> tuple[tuple[PClass, int], ...]:
     """Expansion of  O_{t_class} * O_{comp}  in disjoint-support classes.
 
-    Write T for ``t_class`` (w_T symbols) and C for ``comp``.  A labelled
-    representative of C is overlaid on that of T in every injective way,
-    keeping only the images that take fresh symbols in increasing order
-    (the fresh symbols are interchangeable).  Each distinct overlay is
-    canonicalised once, and R_D counts the kept images landing in class D:
+    Write T for ``t_class`` (w_T symbols, its components on consecutive
+    intervals) and C for ``comp``.  ``_merge_images`` overlays a labelled
+    representative of C on T in every injective way that takes fresh
+    symbols in increasing order (the fresh symbols are interchangeable).
+    C is connected, so an image merges it with exactly the T components it
+    touches and leaves the rest alone: each distinct image of C's blocks
+    canonicalises only that merged part, and its class is the untouched
+    strings plus the merged form, sorted.  R_D counts the images in class D:
 
         beta_D = aut(D) * R_D / (aut(T) * aut(C))    (aut: ``_class_aut``).
 
     On N symbols, count the pairs (t, c) of orbit members with t + c in the
     orbit of D two ways: |orbit(D)| * beta_D, or |orbit(T)| times the images
-    of C completing one t to D.  A kept image with f fresh symbols stands
+    of C completing one t to D.  An image with f fresh symbols stands
     for (N - w_T)! / (N - w_T - f)! injective images, aut(C) injective
     images give one labelled image, and |orbit(X)| = N! / ((N - w_X)! aut(X)),
     so every N-dependent factor cancels.  A division that is not exact
     raises ``RuntimeError``.  Expansions are cached per (t_class, comp) pair
     in a bounded ``lru_cache`` of 4096 entries.
     """
-    t_blocks = _class_rep_blocks(t_class)
-    w_t = sum(parse_form(c)[0] for c in t_class)
+    owner: list[int] = []  # T's symbol -> index of its component
+    t_blocks: list[list[tuple[int, ...]]] = []  # each component on its interval
+    for i, part in enumerate(t_class):
+        w, pairs = parse_form(part)
+        t_blocks.append([tuple(s + len(owner) for s in b) for b in pairs])
+        owner += [i] * w
     w_c, c_pairs = parse_form(comp)
-
-    def fresh_in_order(image) -> bool:
-        fresh = [s for s in image if s >= w_t]
-        return fresh == list(range(w_t, w_t + len(fresh)))
-
     overlays = Counter(
-        tuple(sorted(t_blocks + [tuple(sorted(image[s] for s in b)) for b in c_pairs]))
-        for image in permutations(range(w_t + w_c), w_c)
-        if fresh_in_order(image)
+        tuple(sorted(tuple(sorted(image[s] for s in b)) for b in c_pairs))
+        for image in _merge_images(len(owner), w_c)
     )
     images: Counter = Counter()
-    for blocks, count in overlays.items():
-        images[lambda_class(Lambda.from_blocks(len(blocks[0]), blocks))] += count
+    for c_blocks, count in overlays.items():
+        touched = {owner[s] for b in c_blocks for s in b if s < len(owner)}
+        merged = _blocks_class_string([b for i in touched for b in t_blocks[i]] + list(c_blocks))
+        untouched = [part for i, part in enumerate(t_class) if i not in touched]
+        images[tuple(sorted(untouched + [merged]))] += count
     denom = _class_aut(t_class) * _class_aut((comp,))
     out = []
     for cand, count in sorted(images.items()):
@@ -846,8 +857,8 @@ class SupportReport:
     """Signed support vs. plain union of admissible classes.
 
     ``cancelled`` lists classes admissible by some spanning subgraph whose
-    signed coefficients nevertheless sum to zero; empirically this stays
-    empty at small sizes, but it is computed rather than assumed.
+    signed coefficients sum to zero.  It is computed, not assumed empty:
+    already the k = 2 indicator series of K5 cancels some classes.
     """
 
     signed: frozenset[PClass]
@@ -857,14 +868,7 @@ class SupportReport:
 
 def lambda_support(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> SupportReport:
     """Support of the series alongside the union over all spanning subgraphs."""
-    _check_k(k)
-    _check_coeffs(coeffs)
-    if g.n < 1:
-        raise ValueError("need at least one vertex")
-    if g.n > PSUM_VERTEX_CAP:
-        raise CapExceededError(
-            f"support computation capped at {PSUM_VERTEX_CAP} vertices (got {g.n})"
-        )
+    _check_series_args(g, k, coeffs, "support computation")
     if k == 1:
         terms, union = _psum_k1(g, collect_union=True)
     else:
@@ -875,11 +879,7 @@ def lambda_support(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> Suppor
 
 def _form_is_tree(form: str) -> bool:
     n, pairs = parse_form(form)
-    if any(len(p) != 2 for p in pairs):
-        return False
-    if len(pairs) != len(set(pairs)) or len(pairs) != n - 1:
-        return False
-    return is_tree(SimpleGraph.from_edges(n, pairs))
+    return all(len(p) == 2 for p in pairs) and is_tree(Multigraph.from_pairs(n, pairs))
 
 
 def _tree_classes(series: PSeries) -> frozenset[PClass]:

@@ -238,3 +238,14 @@ def test_collide_search_uses_cache(tmp_path):
 def test_collide_search_rejects_bad_bound():
     with pytest.raises(ValueError):
         collide_search(0, 2)
+
+
+def test_collide_search_k2_refuses_seven_vertices_before_any_series(monkeypatch):
+    from kneserchrom import CapExceededError, catalog
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was computed before the cap check")
+
+    monkeypatch.setattr(catalog, "cached_psum", refuse)
+    with pytest.raises(CapExceededError, match="spanning subgraphs"):
+        collide_search(7, 2)

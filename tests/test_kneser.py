@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -49,8 +51,10 @@ from kneserchrom import (
 )
 from kneserchrom import kneser
 from kneserchrom.kneser import (
+    PSUM_SUBSET_CAP,
     _component_weights,
     _merge_expansion,
+    _merge_images,
     _orbit_sum,
     _psum_k1,
     _psum_subsets,
@@ -353,6 +357,28 @@ def test_psum_caps_and_validation():
         kneser_psum(K2, 2, coeffs="other")
 
 
+def test_subset_budget_refuses_before_any_subset_loop(monkeypatch):
+    # K7 is inside PSUM_VERTEX_CAP, but its 2^21 spanning subgraphs do not
+    # finish for k = 2; K6's 2^15 are the most the budget lets through
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spanning-subgraph loop was entered")
+
+    monkeypatch.setattr(kneser, "_psum_subsets", refuse)
+    assert PSUM_SUBSET_CAP == 1 << 15
+    k7 = SimpleGraph.from_edges(7, [(a, b) for a in range(7) for b in range(a + 1, 7)])
+    for coeffs in ("witness", "indicator"):
+        with pytest.raises(CapExceededError, match="spanning subgraphs"):
+            kneser_psum(k7, 2, coeffs=coeffs)
+        with pytest.raises(CapExceededError, match="spanning subgraphs"):
+            lambda_support(k7, 2, coeffs=coeffs)
+    # k = 1 takes the partition route, which the budget does not cover
+    assert kneser_psum(k7, 1).terms
+    # K6 passes the check and reaches the series lookup
+    monkeypatch.setattr(kneser, "_psum_terms", lambda form, k, coeffs: ())
+    k6 = SimpleGraph.from_edges(6, [(a, b) for a in range(6) for b in range(a + 1, 6)])
+    assert kneser_psum(k6, 2).terms == {}
+
+
 def test_pseries_json_round_trip():
     series = kneser_psum(P3, 2)
     again = PSeries.from_json(series.to_json())
@@ -417,6 +443,23 @@ def test_merge_expansion_equals_split_count(monkeypatch):
     assert len(pairs) == 147
     for t_class, comp in sorted(pairs):
         assert dict(_merge_expansion(t_class, comp)) == brute_merge_expansion(t_class, comp)
+
+
+def test_merge_images_are_the_kept_permutations():
+    # the direct enumeration yields exactly the injective images whose
+    # fresh symbols (those >= w_t) come in increasing order, each once
+    def fresh_in_order(image, w_t):
+        fresh = [s for s in image if s >= w_t]
+        return fresh == list(range(w_t, w_t + len(fresh)))
+
+    for w_t in range(7):
+        for w_c in range(1, 6):
+            kept = Counter(
+                image
+                for image in permutations(range(w_t + w_c), w_c)
+                if fresh_in_order(image, w_t)
+            )
+            assert Counter(_merge_images(w_t, w_c)) == kept
 
 
 def test_representation_collision_pair_differs_in_true_basis():
