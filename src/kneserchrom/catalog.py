@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .generate import enumerate_graphs, enumerate_trees
-from .graph6 import write_graph6
+from .graph6 import parse_graph6, write_graph6
 from .graphs import (
     CapExceededError,
     SimpleGraph,
@@ -26,6 +26,7 @@ from .graphs import (
     graph_from_form,
 )
 from .kneser import (
+    LAMBDA_T_CAP,
     PSUM_SUBSET_CAP,
     PSUM_VERTEX_CAP,
     PSeries,
@@ -95,7 +96,9 @@ class SeriesCache:
 
     Each line is one record ``{"version", "graph6", "k", "coeffs",
     "series"}`` with the canonical graph6 string as the graph key, so hits
-    are shared across isomorphic inputs and across runs.
+    are shared across isomorphic inputs and across runs.  A record whose
+    vertex count, ``k`` or ``coeffs`` disagrees with its series is refused
+    as malformed.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -118,6 +121,9 @@ class SeriesCache:
                     try:
                         key = (data["graph6"], int(data["k"]), data["coeffs"])
                         series = PSeries.from_json_dict(data["series"])
+                        n = parse_graph6(key[0]).n
+                        if (n, *key[1:]) != (series.n, series.k, series.coeffs):
+                            raise ValueError("graph6, k or coeffs disagree with the series")
                     except (KeyError, TypeError, ValueError) as exc:
                         raise ValueError(
                             f"{self.path}:{lineno}: malformed cache record: {exc}"
@@ -172,9 +178,12 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
     Afterwards check that no two trees produced the same tree-class set.
     With ``witness`` also confirm, per tree, that an admissibility witness
     of its canonical augmented multiset induces a position isomorphism.
+    Refuses an ``n_max`` above ``LAMBDA_T_CAP`` before any tree.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    if n_max > LAMBDA_T_CAP:
+        raise CapExceededError(f"tree verification capped at {LAMBDA_T_CAP} vertices (got {n_max})")
     records: list[dict] = []
     class_sets: dict[frozenset, str] = {}
     duplicate_pairs: list[tuple[str, str]] = []

@@ -196,98 +196,61 @@ def is_admissible(lam: Lambda, g: SimpleGraph) -> AdmissibleWitness | None:
 # ---------------------------------------------------------------------------
 
 
-def _component_order(g: SimpleGraph) -> tuple[list[list[int]], list[int]]:
-    """(earlier-neighbour positions, previous-twin position) for a connected g.
-
-    Twins (equal neighbourhoods) are fully interchangeable in any block
-    assignment, so the class enumeration may insist on non-decreasing blocks
-    along each twin group without losing classes."""
-    order, earlier = _search_order(g)
-    adj = g.adjacency()
-    nbr_key = {v: frozenset(adj[v]) for v in order}
-    twin_prev = [-1] * len(order)
-    last_of: dict[frozenset, int] = {}
-    for i, v in enumerate(order):
-        key = nbr_key[v]
-        if key in last_of:
-            twin_prev[i] = last_of[key]
-        last_of[key] = i
-    return earlier, twin_prev
-
-
-@lru_cache(maxsize=1 << 12)
-def _component_classes(form: str, k: int) -> frozenset[str]:
-    """Admissible classes of the connected shape named by ``form``.
-
-    Classes are returned as canonical component strings.  For k = 1
-    connectivity forces every vertex onto one repeated symbol; for k = 2 the
-    classes are enumerated by assigning blocks in search order with symbols
-    named by first use (a connected multigraph with c edges has at most c+1
-    symbols), deduplicating multisets, then canonicalising.
-    """
-    n, pairs = parse_form(form)
-    if k == 1:
-        return frozenset({singleton_class_string(n)})
-    g = SimpleGraph.from_edges(n, pairs)
-    earlier, twin_prev = _component_order(g)
-    budget = n + 1
-
-    seen: set[bytes] = set()
-    assign: list[tuple[int, int]] = []
-
-    def extend(i: int, used: int) -> None:
-        if i == n:
-            seen.add(bytes(sorted((a << 4) | b for a, b in assign)))
-            return
-        if not earlier[i]:
-            cands = [(0, 1)]
-        else:
-            first = assign[earlier[i][0]]
-            rest = [assign[j] for j in earlier[i][1:]]
-            opts = set()
-            hi = used + 1 if used < budget else used
-            for s in first:
-                for o in range(hi):
-                    if o == s:
-                        continue
-                    b = (s, o) if s < o else (o, s)
-                    if all(b[0] in r or b[1] in r for r in rest):
-                        opts.add(b)
-            cands = sorted(opts)
-        floor = assign[twin_prev[i]] if twin_prev[i] >= 0 else None
-        for b in cands:
-            if floor is not None and b < floor:
-                continue
-            assign.append(b)
-            extend(i + 1, max(used, b[1] + 1, b[0] + 1))
-            assign.pop()
-
-    extend(0, 0)
-
-    return frozenset(
-        _blocks_class_string([((byte >> 4) & 15, byte & 15) for byte in enc]) for enc in seen
-    )
+@lru_cache(maxsize=1 << 14)
+def _multiset_class(blocks: tuple[tuple[int, int], ...]) -> str:
+    """Cached ``_blocks_class_string``: shapes share most of their multisets."""
+    return _blocks_class_string(blocks)
 
 
 @lru_cache(maxsize=1 << 12)
 def _component_weights(form: str, k: int) -> dict[str, int]:
-    """Witness counts W(shape, class) for every admissible class of a shape.
+    """Witness counts W of the admissible classes of the connected shape
+    ``form``, keyed by canonical component string in sorted order.
 
     W counts the functions from the vertices onto one fixed representative
-    multiset (block capacities consumed exactly) with intersecting blocks on
-    edges; it is the multiplicity with which the class enters the genuine
-    power-sum expansion.
+    multiset R (block capacities consumed exactly) with intersecting blocks
+    on edges.  For k = 1 connectivity forces one repeated symbol: W = 1.
+
+    For k = 2 blocks are assigned in ``_search_order`` with symbols named by
+    first use: the first vertex takes {0, 1}, and each later vertex meets an
+    earlier neighbour's block, so it brings at most one fresh symbol.  Let N
+    count the assignments in the class of R, on w symbols.  Its w! / aut(R)
+    relabellings are realised by W functions each.  For w >= 3 a relabelling
+    that fixes a function fixes two blocks sharing one symbol, hence their
+    three symbols, and so every symbol, as the symbol graph is connected.
+    The W / aut(R) relabelling orbits thus have w! members each, exactly two
+    of them named by first use, one per order of the first block's symbols:
+    W = N aut(R) / 2, and a remainder raises ``RuntimeError``.  For w = 2
+    (n copies of {0, 1}) N = 1 and aut = 2 give W = 1 as well.
     """
     n, pairs = parse_form(form)
     if k == 1:
         return {singleton_class_string(n): 1}
-    g = SimpleGraph.from_edges(n, pairs)
+    _, earlier = _search_order(SimpleGraph.from_edges(n, pairs))
+    found: Counter = Counter()
+    assign: list[tuple[int, int]] = []
+
+    def extend(i: int, used: int) -> None:
+        if i == n:
+            found[_multiset_class(tuple(sorted(assign)))] += 1
+            return
+        if earlier[i]:
+            first, *rest = (assign[j] for j in earlier[i])
+            cands = {(min(s, o), max(s, o)) for s in first for o in range(used + 1) if o != s}
+        else:
+            rest, cands = [], {(0, 1)}
+        for b in cands:
+            if all(b[0] in r or b[1] in r for r in rest):
+                assign.append(b)
+                extend(i + 1, max(used, b[1] + 1))
+                assign.pop()
+
+    extend(0, 0)
     weights: dict[str, int] = {}
-    for cls in sorted(_component_classes(form, k)):
-        total = sum(1 for _ in _placements(g, parse_form(cls)[1]))
-        if total == 0:
-            raise RuntimeError("admissible class with no realising function")
-        weights[cls] = total
+    for cls in sorted(found):
+        weights[cls], odd = divmod(found[cls] * _component_blocks(cls)[2], 2)
+        if odd:
+            raise RuntimeError("class count times automorphism count is odd")
     return weights
 
 
@@ -302,7 +265,7 @@ def enumerate_admissible_classes(g: SimpleGraph, k: int) -> frozenset[PClass]:
         )
     if not is_connected(g):
         raise ValueError("class enumeration is defined for connected graphs")
-    return frozenset((c,) for c in _component_classes(canonical_form(g), k))
+    return frozenset((c,) for c in _component_weights(canonical_form(g), k))
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +359,15 @@ class PSeries:
         return PSeries.from_json_dict(data)
 
 
-def _spanning_classes(sub: SimpleGraph, k: int, witness: bool) -> dict[PClass, int]:
+def _spanning_classes(sub: SimpleGraph, k: int) -> dict[PClass, int]:
     """Classes admissible by ``sub``, assembled from one class per component.
 
-    Each class carries the product of its components' witness counts (with
-    ``witness``; otherwise of ones), summed over the assembly choices.
+    Each class carries the product of its components' witness counts, summed
+    over the assembly choices.
     """
     partial: dict[PClass, int] = {(): 1}
     for comp in graph_components(sub):
-        form = canonical_form(induced_subgraph(sub, comp))
-        if witness:
-            table = _component_weights(form, k)
-        else:
-            table = dict.fromkeys(_component_classes(form, k), 1)
+        table = _component_weights(canonical_form(induced_subgraph(sub, comp)), k)
         nxt: dict[PClass, int] = defaultdict(int)
         for cls, w in partial.items():
             for comp_cls, wc in table.items():
@@ -433,7 +392,7 @@ def _psum_subsets(
     for mask in range(1 << len(edges)):
         subset = [edges[i] for i in range(len(edges)) if mask >> i & 1]
         sign = -1 if len(subset) & 1 else 1
-        assembled = _spanning_classes(SimpleGraph(g.n, frozenset(subset)), k, witness)
+        assembled = _spanning_classes(SimpleGraph(g.n, frozenset(subset)), k)
         for cls, w in assembled.items():
             terms[cls] += sign * w if witness else sign
         if collect_union:
@@ -566,7 +525,7 @@ def admissible_for_subgraph(
             f"class enumeration capped at {PSUM_VERTEX_CAP} vertices (got {g.n})"
         )
     sub = SimpleGraph.from_edges(g.n, subset)
-    return frozenset(_spanning_classes(sub, k, witness=False))
+    return frozenset(_spanning_classes(sub, k))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,21 @@ def test_cache_rejects_corrupt_line(tmp_path):
         SeriesCache(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", 1), ("coeffs", "indicator"), ("graph6", "Bw")],
+)
+def test_cache_rejects_record_disagreeing_with_its_series(tmp_path, field, value):
+    # the outer k, coeffs and graph6 key a record, so each must match its series
+    path = tmp_path / "series.jsonl"
+    cached_psum(P4, 2, "witness", SeriesCache(path))
+    record = json.loads(path.read_text())
+    record[field] = value
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match="malformed cache record"):
+        SeriesCache(path)
+
+
 def test_cache_skips_unknown_version(tmp_path):
     path = tmp_path / "series.jsonl"
     path.write_text('{"version": "999", "graph6": "A_", "k": 2, "coeffs": "witness"}\n')
@@ -187,6 +202,17 @@ def test_verify_trees_profiles_each_class_once(monkeypatch):
 def test_verify_trees_rejects_bad_bound():
     with pytest.raises(ValueError):
         verify_trees(0)
+
+
+def test_verify_trees_refuses_above_lambda_t_cap_before_any_tree(monkeypatch):
+    from kneserchrom import LAMBDA_T_CAP, CapExceededError, catalog
+
+    def refuse(n):
+        raise AssertionError("a tree was enumerated before the cap check")
+
+    monkeypatch.setattr(catalog, "enumerate_trees", refuse)
+    with pytest.raises(CapExceededError, match="tree verification capped"):
+        verify_trees(LAMBDA_T_CAP + 1)
 
 
 # ---------------------------------------------------------------------------

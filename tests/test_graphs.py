@@ -32,7 +32,7 @@ from kneserchrom import (
     singleton_class_string,
 )
 from kneserchrom.graphs import _tree_code, _tree_from_code
-from kneserchrom.kneser import _component_classes
+from kneserchrom.kneser import _component_weights
 
 
 def test_simple_graph_construction():
@@ -194,7 +194,7 @@ def test_automorphism_count_on_component_classes():
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             if is_connected(g):
-                classes |= _component_classes(canonical_form(g), 2)
+                classes |= _component_weights(canonical_form(g), 2).keys()
     assert len(classes) == 53
     for form in sorted(classes):
         w, pairs = parse_form(form)

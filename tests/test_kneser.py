@@ -126,7 +126,9 @@ def test_class_enumeration_complete_against_brute_force():
     # admissible ones, compare class sets
     import itertools
 
-    for g in [K2, P3, SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), STAR3]:
+    connected = [g for n in range(1, 5) for g in enumerate_graphs(n) if is_connected(g)]
+    assert len(connected) == 10
+    for g in connected:
         n = g.n
         blocks = list(itertools.combinations(range(n + 1), 2))
         brute: set = set()
@@ -312,6 +314,7 @@ def test_invariant_check_survives_optimised_mode():
         for call in (
             lambda: kneser._orbit_sum("3:[[0,1],[1,2]]", 4, ones),
             lambda: kneser._merge_expansion((path,), path),
+            lambda: kneser._component_weights("2:[[0,1]]", 2),
         ):
             try:
                 call()
@@ -335,6 +338,7 @@ def test_invariant_check_survives_optimised_mode():
     assert proc.stdout.splitlines() == [
         "orbit sum not divisible by automorphism count",
         "merge coefficient not divisible by automorphism counts",
+        "class count times automorphism count is odd",
     ]
 
 
