@@ -297,6 +297,21 @@ def _check_series_args(g: SimpleGraph, k: int, coeffs: str, what: str) -> None:
         raise CapExceededError(f"{what} capped at {PSUM_SUBSET_CAP} spanning subgraphs")
 
 
+@lru_cache(maxsize=1 << 12)
+def _is_component_string(comp: str, k: int) -> bool:
+    """Whether ``comp`` is ``w:`` with w >= 1, then a non-empty JSON list of
+    blocks, each a list of k distinct ints in 0..w-1.  Cached (4096 entries),
+    so reading a series cache checks each distinct string once."""
+    try:
+        w, blocks = parse_form(comp)
+    except (TypeError, ValueError):
+        return False
+    return comp.partition(":")[0].isdigit() and w >= 1 and len(blocks) > 0 and all(
+        all(type(x) is int and 0 <= x < w for x in b) and len(b) == len(set(b)) == k
+        for b in blocks
+    )
+
+
 @dataclass
 class PSeries:
     """A finite integer combination of block-multiset classes.
@@ -340,10 +355,9 @@ class PSeries:
         _check_coeffs(coeffs)
         terms: dict[PClass, int] = {}
         for cls, coeff in entries:
-            if not all(isinstance(c, str) and ":" in c for c in cls):
-                raise ValueError(f"malformed class {cls!r}")
-            if cls != tuple(sorted(cls)):
-                raise ValueError("class components must be sorted")
+            valid = all(isinstance(c, str) and _is_component_string(c, k) for c in cls)
+            if not (valid and cls == tuple(sorted(cls))):
+                raise ValueError(f"malformed series payload: bad or unsorted class {cls!r}")
             if coeff:
                 terms[cls] = terms.get(cls, 0) + coeff
         return PSeries(n, k, coeffs, terms)
@@ -400,86 +414,46 @@ def _psum_subsets(
     return {c: v for c, v in terms.items() if v}, union
 
 
-# --- fast k = 1 route: partitions into connected pieces ---------------------
+# --- fast k = 1 route: recursions over vertex subsets ----------------------
 
 
-@lru_cache(maxsize=1 << 12)
-def _tutte_10(form: str) -> int:
-    """T_G(1, 0) of the connected multigraph named by ``form``.
-
-    Deletion-contraction with the (1,0) specialisation folded in: bridges
-    contribute factor 1, any loop kills a branch, so contracting across a
-    parallel pair contributes nothing.  Recurses on canonical forms, so
-    isomorphic minors share one cache entry.
-    """
-    n, pairs = parse_form(form)
-    edges = Counter(pairs)
-    if not edges:
-        return 1 if n == 1 else 0
-    (u, v), mult = min(edges.items())
-
-    def minor(n: int, edges: Counter) -> int:
-        return _tutte_10(canonical_form(Multigraph.from_pairs(n, edges.elements())))
-
-    if mult > 1:
-        # contracting one copy turns the others into loops: only deletion counts
-        edges[(u, v)] -= 1
-        return minor(n, edges)
-    del edges[(u, v)]
-    # a bridge has no deletion term: T = x * T(G/e), and x = 1
-    deleted = minor(n, edges) if is_connected(SimpleGraph.from_edges(n, edges)) else 0
-    # contraction: merge v into u and close the gap left by v
-    merged: Counter = Counter()
-    for (a, b), m in edges.items():
-        a2, b2 = (u if w == v else w - (w > v) for w in (a, b))
-        merged[(a2, b2) if a2 < b2 else (b2, a2)] += m
-    return deleted + minor(n - 1, merged)
+def _connected_signed_counts(g: SimpleGraph) -> list[int]:
+    """c(X) = sum of (-1)^|S| over the edge sets S of G[X] that connect X, for
+    every vertex bitmask X; that is (-1)^(|X|-1) T_{G[X]}(1, 0), and 0 exactly
+    when G[X] is disconnected.  Splitting sum_{S subseteq E(G[X])} (-1)^|S| =
+    [G[X] edgeless] by the component A of min X gives the recursion
+    c(X) = [G[X] edgeless] - sum c(A) over A ni min X, A != X, G[X - A] edgeless."""
+    nbrs = [sum(1 << w for w in adj) for adj in g.adjacency()]
+    edgeless, counts = [True], [0]
+    for x in range(1, 1 << g.n):
+        rest = x & (x - 1)  # X without its least vertex; B = X - A ranges over its subsets
+        edgeless.append(edgeless[rest] and not nbrs[(x ^ rest).bit_length() - 1] & x)
+        others = (counts[x ^ b] for b in range(1, rest + 1) if b | rest == rest and edgeless[b])
+        counts.append(edgeless[x] - sum(others))
+    return counts
 
 
-def _set_partitions(items: list[int]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
+def _psum_k1(g: SimpleGraph) -> dict[PClass, int]:
+    """k = 1 series: a partition of V into blocks B (the components of a
+    spanning subgraph) adds prod_B c(B) to the class of its block sizes, with
+    c from ``_connected_signed_counts``.  Fixing the block A of min X,
+    terms(X) = sum c(A) * singleton(|A|) (x) terms(X - A) over A ni min X
+    with c(A) != 0, and terms({}) = {(): 1}."""
+    counts = _connected_signed_counts(g)
+    memo: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}
 
+    def terms(x: int) -> dict[tuple[int, ...], int]:
+        if x not in memo:
+            memo[x] = defaultdict(int)
+            rest = x & (x - 1)
+            for b in range(rest + 1):
+                if b | rest == rest and (c := counts[x ^ b]):
+                    for sizes, v in terms(b).items():
+                        memo[x][tuple(sorted(sizes + ((x ^ b).bit_count(),)))] += c * v
+        return memo[x]
 
-def _psum_k1(g: SimpleGraph, collect_union: bool = False) -> tuple[dict[PClass, int], set[PClass]]:
-    """k = 1 series via partitions of V into connected pieces.
-
-    Grouping spanning subgraphs by the partition into their components gives
-    coefficient  prod_B (-1)^(|B|-1) T(G[B])(1,0)  per partition; the sign
-    only depends on the partition type, so no cancellation can occur and the
-    signed support equals the realisable union.
-    """
-    n = g.n
-
-    @lru_cache(maxsize=None)
-    def a_value(vs: frozenset) -> int:
-        sub = induced_subgraph(g, sorted(vs))
-        if not is_connected(sub):
-            return 0
-        return (-1) ** (len(vs) - 1) * _tutte_10(canonical_form(sub))
-
-    terms: dict[PClass, int] = defaultdict(int)
-    union: set[PClass] = set()
-    for part in _set_partitions(list(range(n))):
-        prod = 1
-        for block in part:
-            av = a_value(frozenset(block))
-            if av == 0:
-                prod = 0
-                break
-            prod *= av
-        if prod:
-            cls = tuple(sorted(singleton_class_string(len(b)) for b in part))
-            terms[cls] += prod
-            if collect_union:
-                union.add(cls)
-    return {c: v for c, v in terms.items() if v}, union
+    full = terms((1 << g.n) - 1)
+    return {tuple(sorted(map(singleton_class_string, s))): v for s, v in full.items()}
 
 
 @lru_cache(maxsize=1 << 10)
@@ -488,10 +462,7 @@ def _psum_terms(form: str, k: int, coeffs: str) -> tuple[tuple[PClass, int], ...
     items, so that every caller builds its own dict from them."""
     g = graph_from_form(form)
     assert isinstance(g, SimpleGraph)
-    if k == 1:
-        terms, _ = _psum_k1(g)
-    else:
-        terms, _ = _psum_subsets(g, k, coeffs == "witness")
+    terms = _psum_k1(g) if k == 1 else _psum_subsets(g, k, coeffs == "witness")[0]
     return tuple(terms.items())
 
 
@@ -826,14 +797,18 @@ class SupportReport:
 
 
 def lambda_support(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> SupportReport:
-    """Support of the series alongside the union over all spanning subgraphs."""
+    """Support of the series alongside the union over all spanning subgraphs.
+
+    For k = 1 the union is the signed support: each nonzero partition product
+    has sign (-1)^(n - #blocks) and T(1, 0) >= 1 for a connected graph, so
+    nothing cancels."""
     _check_series_args(g, k, coeffs, "support computation")
     if k == 1:
-        terms, union = _psum_k1(g, collect_union=True)
+        terms = union = _psum_k1(g)
     else:
         terms, union = _psum_subsets(g, k, coeffs == "witness", collect_union=True)
-    signed = frozenset(terms)
-    return SupportReport(signed, frozenset(union), frozenset(union - signed))
+    signed, union = frozenset(terms), frozenset(union)
+    return SupportReport(signed, union, union - signed)
 
 
 def _form_is_tree(form: str) -> bool:

@@ -201,6 +201,11 @@ def test_exit_code_reconstruct_no_tree_classes(capsys, tmp_path):
         {"n": 2, "k": 2, "terms": [{"class": ["3:[[0,2],[1,2]]"], "coeff": True}]},
         {"n": 2.9, "k": 2, "terms": [{"class": ["3:[[0,2],[1,2]]"], "coeff": 1}]},
         {"n": 2, "k": 2.0, "terms": [{"class": ["3:[[0,2],[1,2]]"], "coeff": 1}]},
+        # class components that are not w: and a list of k-blocks over 0..w-1
+        {"n": 2, "k": 2, "terms": [{"class": ["3:[1,2]"], "coeff": 1}]},
+        {"n": 2, "k": 2, "terms": [{"class": ['3:[[0,1],[1,"a"]]'], "coeff": 1}]},
+        {"n": 2, "k": 2, "terms": [{"class": ["3:[[0,1],[1,2.5]]"], "coeff": 1}]},
+        {"n": 2, "k": 2, "terms": [{"class": ["3:[[0,2],[1]]"], "coeff": 1}]},
     ],
 )
 def test_exit_code_reconstruct_malformed_terms(capsys, monkeypatch, payload):

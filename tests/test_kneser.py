@@ -9,6 +9,7 @@ import sys
 import textwrap
 from collections import Counter
 from itertools import permutations
+from math import perm
 from pathlib import Path
 
 import pytest
@@ -277,7 +278,7 @@ def test_orbit_sum_kernel_matches_brute_oracle():
 def test_k1_partition_route_equals_subset_route():
     for n in range(1, 6):
         for g in enumerate_graphs(n):
-            part, _ = _psum_k1(g)
+            part = _psum_k1(g)
             via_subsets_w, _ = _psum_subsets(g, 1, witness=True)
             via_subsets_i, _ = _psum_subsets(g, 1, witness=False)
             assert part == via_subsets_w == via_subsets_i
@@ -291,6 +292,30 @@ def test_k1_all_ones_counts_proper_colorings():
                 ones = {b: 1 for b in block_universe(m, 1)}
                 expected = chromatic_polynomial_value(g.n, g.sorted_edges(), m) % FIXED_PRIME
                 assert pseries_eval(series, m, ones) == expected
+
+
+def test_k1_series_at_the_vertex_cap(monkeypatch):
+    k7 = SimpleGraph.from_edges(7, [(a, b) for a in range(7) for b in range(a + 1, 7)])
+    c7 = SimpleGraph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
+    p7 = SimpleGraph.from_edges(7, [(i, i + 1) for i in range(6)])
+    closed_forms = [
+        (k7, lambda m: perm(m, 7)),
+        (c7, lambda m: (m - 1) ** 7 - (m - 1)),
+        (p7, lambda m: m * (m - 1) ** 6),
+    ]
+    for g, chromatic in closed_forms:
+        series = kneser_psum(g, 1)
+        for m in range(1, 9):
+            ones = {b: 1 for b in block_universe(m, 1)}
+            assert pseries_eval(series, m, ones) == chromatic(m) % FIXED_PRIME
+
+    # the k = 1 route itself runs no canonical search
+    def refuse(g):
+        raise AssertionError("canonical_form called")
+
+    expected = kneser_psum(k7, 1).terms
+    monkeypatch.setattr(kneser, "canonical_form", refuse)
+    assert _psum_k1(k7) == expected
 
 
 def test_large_class_vanishes_below_symbol_count():
@@ -493,11 +518,14 @@ def test_representation_collision_pair_differs_in_true_basis():
 
 
 def test_lambda_support_k1_never_cancels():
+    # lambda_support reads the k = 1 union off the signed support, so the
+    # union is taken independently here, over every spanning subgraph
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             report = lambda_support(g, 1)
             assert not report.cancelled
-            assert report.signed == report.union
+            union = _psum_subsets(g, 1, False, collect_union=True)[1]
+            assert report.signed == report.union == union
 
 
 def test_lambda_support_k2_indicator_cancellation_exists():
@@ -561,6 +589,19 @@ def test_lambda_t_of_every_tree_up_to_the_cap():
     path10 = SimpleGraph.from_edges(10, [(i, i + 1) for i in range(9)])
     with pytest.raises(CapExceededError):
         lambda_t(path10)
+
+
+def test_k1_series_of_every_graph_up_to_six_vertices():
+    # sha256 over the sorted k = 1 terms of all 208 graphs with n <= 6, in
+    # enumeration order; the digest was recorded from the earlier route that
+    # ran a deletion-contraction for T(1, 0) inside a set-partition loop
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            digest.update(repr(sorted(kneser_psum(g, 1).terms.items())).encode())
+    assert digest.hexdigest() == (
+        "61f748361b356e6f7ecacd408615d68935b593c64ef26c98f1583013d2dfd112"
+    )
 
 
 def test_lambda_t_equals_breadth_first_fills():
