@@ -21,6 +21,7 @@ from .graph6 import parse_graph6, write_graph6
 from .graphs import (
     CapExceededError,
     SimpleGraph,
+    _tree_form,
     are_isomorphic,
     canonical_form,
     graph_from_form,
@@ -30,16 +31,16 @@ from .kneser import (
     PSUM_SUBSET_CAP,
     PSUM_VERTEX_CAP,
     PSeries,
-    _minimal_profile,
+    _lambda_t_codes,
+    _minimal_codes,
     augment_tree_lambda,
     is_admissible,
     kneser_psum,
-    lambda_t,
     pseries_eval,
     random_values,
     true_basis,
 )
-from .reconstruct import reconstruct_from_lambda_t, verify_tau_isomorphism
+from .reconstruct import _delete_minimum_leaf, verify_tau_isomorphism
 
 #: seed used by fingerprints and collision search when none is given
 DEFAULT_SEED = 1729
@@ -192,14 +193,15 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
         for tree in enumerate_trees(n):
             started = time.perf_counter()
             g6 = canonical_graph6(tree)
-            classes = lambda_t(tree, 2)
-            tilde, profile = _minimal_profile(classes)
-            result = reconstruct_from_lambda_t(tilde)
+            codes = _lambda_t_codes(tree)
+            minimal, profile = _minimal_codes(codes)
+            tilde = frozenset((_tree_form(code)[0],) for code in minimal)
+            result = _delete_minimum_leaf(tilde)
             ok = are_isomorphic(result.graph, tree)
             record = {
                 "n": n,
                 "graph6": g6,
-                "lambda_t_size": len(classes),
+                "lambda_t_size": len(codes),
                 "lambda_t_tilde_size": len(tilde),
                 "min_profile": list(profile),
                 "reconstructed": canonical_graph6(result.graph),
@@ -214,11 +216,11 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
                 record["witness_ok"] = bool(witness_ok)
                 ok = ok and witness_ok
                 record["pass"] = bool(ok)
-            key = frozenset(classes)
-            if key in class_sets:
-                duplicate_pairs.append((class_sets[key], g6))
+            # a code names exactly one class form, so code sets key injectivity
+            if codes in class_sets:
+                duplicate_pairs.append((class_sets[codes], g6))
             else:
-                class_sets[key] = g6
+                class_sets[codes] = g6
             if not ok:
                 failures += 1
             record["ms"] = round((time.perf_counter() - started) * 1000.0, 3)

@@ -4,21 +4,18 @@
 n vertices arises from a tree on n-1 vertices by attaching a leaf, so
 attaching a leaf at every vertex of every (n-1)-vertex representative and
 deduplicating is exhaustive.  The grown trees are deduplicated by their
-centre-rooted AHU code, and one tree decoded from each distinct code is
-canonicalised, so each distinct tree costs one canonical form.
-Representatives are materialised from their canonical forms, which makes
-the output order (and the labelling of each representative) deterministic.
+centre-rooted AHU code, and each distinct code is canonicalised through the
+code-keyed ``graphs._tree_form``, so each distinct tree costs one canonical
+search.  Representatives are materialised from their canonical forms, which
+makes the output order (and the labelling of each representative)
+deterministic.
 
 ``enumerate_graphs`` does the same by edge count: every graph with m+1
 edges is a graph with m edges plus one edge.
-
-``prufer_tree`` decodes a Pruefer sequence; the test-suite uses it as an
-independent generation oracle for the tree enumerator.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
 
 from .graphs import (
@@ -26,7 +23,7 @@ from .graphs import (
     SimpleGraph,
     VERTEX_CAP,
     _tree_code,
-    _tree_from_code,
+    _tree_form,
     canonical_form,
     graph_from_form,
 )
@@ -53,9 +50,8 @@ def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
         for t in enumerate_trees(n - 1)
         for v in range(t.n)
     }
-    forms = {canonical_form(SimpleGraph.from_edges(n, _tree_from_code(c))) for c in codes}
     out = []
-    for form in sorted(forms):
+    for form in sorted(_tree_form(c)[0] for c in codes):
         g = graph_from_form(form)
         assert isinstance(g, SimpleGraph)
         out.append(g)
@@ -95,27 +91,3 @@ def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
         out.append(g)
     return tuple(out)
 
-
-def prufer_tree(seq: list[int], n: int) -> SimpleGraph:
-    """Decode a Pruefer sequence of length n-2 into a labelled tree on n vertices."""
-    if n < 2:
-        raise ValueError("Pruefer decoding needs n >= 2")
-    if len(seq) != n - 2:
-        raise ValueError("Pruefer sequence must have length n-2")
-    if any(not 0 <= v < n for v in seq):
-        raise ValueError("Pruefer sequence labels must lie in 0..n-1")
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((u, w))
-    return SimpleGraph.from_edges(n, edges)

@@ -18,8 +18,9 @@ refinement and deduplicated on twin vertices; that restriction is
 isomorphism-invariant, so equal strings still hold exactly for isomorphic
 inputs and the search stays tractable on the small, mostly rigid graphs
 this package works with.  The same search counts automorphisms
-(``automorphism_count``).  A hard vertex cap keeps accidental huge inputs
-from hanging the process.
+(``automorphism_count``).  Trees are looked up by their centre-rooted AHU
+code (``_tree_code``) first, so each distinct tree is searched once.  A
+hard vertex cap keeps accidental huge inputs from hanging the process.
 """
 
 from __future__ import annotations
@@ -361,10 +362,30 @@ def _canonical_form_cached(n: int, weighted_edges: tuple) -> tuple[str, int]:
     """Form string and automorphism count, keyed by (n, sorted weighted edges).
 
     The key is labelled, so isomorphic inputs with different labels take
-    separate entries.  The bound of 16384 entries sits far above the few
-    hundred that tree verification or a collision search to n = 5 holds."""
+    separate entries.  A tree is looked up by its centre-rooted code in
+    ``_tree_form``, so each distinct tree is searched once however it is
+    labelled.  The bound of 16384 entries sits far above the few hundred
+    that tree verification or a collision search to n = 5 holds."""
+    if len(weighted_edges) == n - 1 and all(mult == 1 for _, mult in weighted_edges):
+        adj = _tree_adjacency(n, [pair for pair, _ in weighted_edges])
+        if adj is not None:
+            return _tree_form(_centre_code(adj))
+    return _search_form(n, weighted_edges)
+
+
+def _search_form(n: int, weighted_edges) -> tuple[str, int]:
     body, aut = _canonical_edge_list(n, weighted_edges)
     return f"{n}:" + json.dumps(body, separators=(",", ":")), aut
+
+
+@lru_cache(maxsize=1 << 14)
+def _tree_form(code: str) -> tuple[str, int]:
+    """Form string and automorphism count of the tree a centre-rooted code
+    names, from one search on the code-decoded labelling.  Both are
+    labelling-invariant, so they equal what any labelling of the tree gives.
+    Bounded at 16384 entries, one per distinct tree."""
+    n = code.count("(")
+    return _search_form(n, tuple((pair, 1) for pair in _tree_from_code(code)))
 
 
 def canonical_form(g: SimpleGraph | Multigraph) -> str:
@@ -416,19 +437,50 @@ def automorphism_count(g: SimpleGraph | Multigraph) -> int:
     return _canonical_form_cached(g.n, _weighted_edges(g, "automorphism count"))[1]
 
 
+def _tree_adjacency(n: int, edges) -> list[list[int]] | None:
+    """Adjacency lists of the graph on 0..n-1, or None unless it is a tree
+    (n >= 1, n - 1 edges, connected)."""
+    if n < 1:
+        return None
+    adj: list[list[int]] = [[] for _ in range(n)]
+    count = 0
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return None
+        adj[u].append(v)
+        adj[v].append(u)
+        count += 1
+    if count != n - 1:
+        return None
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return adj if all(seen) else None
+
+
 def _tree_code(n: int, edges) -> str:
     """AHU code (Aho, Hopcroft and Ullman) of a tree on n >= 1 vertices,
-    rooted at its centre.
+    rooted at its centre.  Raises ``ValueError`` unless the input is a tree.
 
     Leaves are peeled layer by layer until the one or two centre vertices
     remain; with two centres the lesser rooted code is taken.  A rooted
     code names the rooted tree exactly and isomorphisms map centres to
     centres, so two trees get the same code exactly when they are
     isomorphic."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _tree_adjacency(n, edges)
+    if adj is None:
+        raise ValueError(f"edges do not form a tree on {n} vertices")
+    return _centre_code(adj)
+
+
+def _centre_code(adj: list[list[int]]) -> str:
+    """``_tree_code`` of a tree given by its adjacency lists."""
+    n = len(adj)
     deg = [len(a) for a in adj]
     layer = [v for v in range(n) if deg[v] <= 1]
     left = n

@@ -69,6 +69,7 @@ from .graphs import (
     _blocks_class_string,
     _code_children,
     _tree_code,
+    _tree_form,
     _tree_from_code,
     automorphism_count,
     canonical_form,
@@ -300,16 +301,21 @@ def _check_series_args(g: SimpleGraph, k: int, coeffs: str, what: str) -> None:
 @lru_cache(maxsize=1 << 12)
 def _is_component_string(comp: str, k: int) -> bool:
     """Whether ``comp`` is ``w:`` with w >= 1, then a non-empty JSON list of
-    blocks, each a list of k distinct ints in 0..w-1.  Cached (4096 entries),
-    so reading a series cache checks each distinct string once."""
+    blocks, each a list of k distinct ints in 0..w-1, whose symbol graph is
+    connected and which spells its own canonical class string.  Cached
+    (4096 entries), so reading a series cache checks each distinct string
+    once."""
     try:
         w, blocks = parse_form(comp)
     except (TypeError, ValueError):
         return False
-    return comp.partition(":")[0].isdigit() and w >= 1 and len(blocks) > 0 and all(
+    well_formed = comp.partition(":")[0].isdigit() and w >= 1 and len(blocks) > 0 and all(
         all(type(x) is int and 0 <= x < w for x in b) and len(b) == len(set(b)) == k
         for b in blocks
     )
+    if not well_formed or (k == 2 and not is_connected(Multigraph.from_pairs(w, blocks).simple())):
+        return False
+    return _blocks_class_string(sorted(tuple(sorted(b)) for b in blocks)) == comp
 
 
 @dataclass
@@ -357,7 +363,9 @@ class PSeries:
         for cls, coeff in entries:
             valid = all(isinstance(c, str) and _is_component_string(c, k) for c in cls)
             if not (valid and cls == tuple(sorted(cls))):
-                raise ValueError(f"malformed series payload: bad or unsorted class {cls!r}")
+                raise ValueError(
+                    f"malformed series payload: bad, non-canonical or unsorted class {cls!r}"
+                )
             if coeff:
                 terms[cls] = terms.get(cls, 0) + coeff
         return PSeries(n, k, coeffs, terms)
@@ -834,14 +842,28 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
 
     For k = 1 no class can span n+1 symbols, so the set is empty.  For
     other graphs the full series is computed and filtered.  For a tree G
-    (only the full edge set can contribute a connected class, so the tree
-    classes are the admissible ones) the classes are read off G directly.
-    Root G anywhere and give the root the block {0, 1}; every other vertex
-    gets {s, t} with s a symbol of its parent's block and t a new symbol.
-    These fills are admissible by construction, and every tree class
-    arises as one, from any root: each block meets its parent's block, and
-    n blocks spanning a tree on n + 1 symbols each add exactly one new
-    symbol.
+    the classes are read off G directly by ``_lambda_t_codes`` and each
+    distinct class tree is canonicalised once, through the code-keyed
+    ``graphs._tree_form``.
+    """
+    _check_k(k)
+    if k == 1:
+        return frozenset()
+    if not is_tree(g):
+        return _tree_classes(kneser_psum(g, 2))
+    return frozenset((_tree_form(code)[0],) for code in _lambda_t_codes(g))
+
+
+def _lambda_t_codes(g: SimpleGraph) -> frozenset[str]:
+    """Centre-rooted AHU codes of the tree classes of a tree G.
+
+    Only the full edge set of a tree can contribute a connected class, so
+    the tree classes are the admissible ones.  Root G anywhere and give the
+    root the block {0, 1}; every other vertex gets {s, t} with s a symbol
+    of its parent's block and t a new symbol.  These fills are admissible
+    by construction, and every tree class arises as one, from any root:
+    each block meets its parent's block, and n blocks spanning a tree on
+    n + 1 symbols each add exactly one new symbol.
 
     The 2^(n-1) fills are not built.  G is rooted at its centre, and a
     dynamic programme over its AHU code (``graphs._tree_code``) collects
@@ -851,16 +873,13 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     subtree's rooted code in a bounded ``lru_cache`` of 4096 entries; all
     95 trees inside the cap need only 24 rooted shapes.  The root's pairs,
     the largest sets, are computed uncached.  Each root pair names the
-    symbol tree rooted at the edge {0, 1}, and ``_edge_rooted_form``
-    canonicalises each distinct one once, in a bounded ``lru_cache`` of
-    16 384 entries keyed by that edge-rooted code.
+    symbol tree rooted at the edge {0, 1}; ``_centre_rooted`` re-roots it
+    at its centre, so one code names one class.  Raises ``ValueError``
+    unless G is a tree, and ``CapExceededError`` above ``LAMBDA_T_CAP``.
     """
-    _check_k(k)
-    if k == 1:
-        return frozenset()
     n = g.n
     if not is_tree(g):
-        return _tree_classes(kneser_psum(g, 2))
+        raise ValueError("tree classes are read off trees only")
     if n > LAMBDA_T_CAP:
         raise CapExceededError(
             f"tree-class extraction capped at {LAMBDA_T_CAP} vertices (got {n})"
@@ -870,7 +889,7 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
         # the lesser side roots the code, so a pair and its mirror agree
         x, y = sorted(("(" + "".join(a) + ")", "(" + "".join(b) + ")"))
         codes.add(x[:-1] + y + ")")
-    return frozenset((_edge_rooted_form(c),) for c in codes)
+    return frozenset(map(_centre_rooted, codes))
 
 
 def _side_pairs(child_codes: list[str]) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -908,15 +927,10 @@ def _hangs(code: str) -> frozenset[tuple[str, ...]]:
 
 
 @lru_cache(maxsize=1 << 14)
-def _edge_rooted_form(code: str) -> str:
-    """Canonical form of the tree a rooted AHU code names.
-
-    The tree is relabelled through its centre-rooted code first, so every
-    rooting of one tree reaches ``canonical_form`` with the same labelled
-    edges and hits its cache."""
-    n = code.count("(")
-    centred = _tree_from_code(_tree_code(n, _tree_from_code(code)))
-    return canonical_form(SimpleGraph.from_edges(n, centred))
+def _centre_rooted(code: str) -> str:
+    """The centre-rooted code of the tree a rooted AHU code names, cached
+    in a bounded ``lru_cache`` of 16 384 entries."""
+    return _tree_code(code.count("("), _tree_from_code(code))
 
 
 def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
@@ -937,7 +951,19 @@ def _minimal_profile(classes) -> tuple[frozenset[PClass], tuple[int, ...]]:
 
     Raises ``ValueError`` unless ``classes`` is a non-empty iterable of
     single tree classes."""
-    profiled = {cls: _class_profile(cls) for cls in map(tuple, classes)}
+    codes = {}
+    for cls in map(tuple, classes):
+        if len(cls) != 1 or not _form_is_tree(cls[0]):
+            raise ValueError(f"{cls!r} is not a single tree class")
+        codes[cls] = _tree_code(*parse_form(cls[0]))
+    minimal, best = _minimal_codes(codes.values())
+    return frozenset(c for c, code in codes.items() if code in minimal), best
+
+
+def _minimal_codes(codes) -> tuple[frozenset[str], tuple[int, ...]]:
+    """The centre-rooted tree codes of lexicographically least profile, and
+    that profile; ``ValueError`` when there are none."""
+    profiled = {code: _code_profile(code) for code in codes}
     if not profiled:
         raise ValueError("no tree classes to reconstruct from")
     best = min(profiled.values())
@@ -945,16 +971,13 @@ def _minimal_profile(classes) -> tuple[frozenset[PClass], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=1 << 12)
-def _class_profile(cls: PClass) -> tuple[int, ...]:
-    """Minimum rooted degree sequence of a single tree class's symbol tree.
+def _code_profile(code: str) -> tuple[int, ...]:
+    """Minimum rooted degree sequence of the tree a centre-rooted code names.
 
-    Cached by class in a bounded ``lru_cache`` of 4096 entries, so each
-    distinct tree is checked and profiled once per process."""
-    if len(cls) != 1 or not _form_is_tree(cls[0]):
-        raise ValueError(f"{cls!r} is not a single tree class")
-    tree = graph_from_form(cls[0])
-    assert isinstance(tree, SimpleGraph)
-    return min_degree_sequence(tree)
+    Profiles are isomorphism-invariant, so the code-decoded tree serves.
+    Cached by code in a bounded ``lru_cache`` of 4096 entries, so each
+    distinct tree is profiled once per process."""
+    return min_degree_sequence(SimpleGraph.from_edges(code.count("("), _tree_from_code(code)))
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,12 @@ def reconstruct_from_lambda_t(classes) -> ReconstructionResult:
     its canonical representative is deleted and the rest relabelled in
     label order.
     """
-    minimal, _ = _minimal_profile(classes)
+    return _delete_minimum_leaf(_minimal_profile(classes)[0])
+
+
+def _delete_minimum_leaf(minimal) -> ReconstructionResult:
+    """The reconstruction step of ``reconstruct_from_lambda_t`` on classes
+    already known to be the minimal-profile ones."""
     chosen = min(minimal)
     augmented = graph_from_form(chosen[0])
     assert isinstance(augmented, SimpleGraph)

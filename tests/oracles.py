@@ -10,6 +10,7 @@ tests use.
 
 from __future__ import annotations
 
+import heapq
 import json
 from functools import cache
 from itertools import combinations, permutations, product
@@ -141,6 +142,32 @@ def prufer_decode(seq, n):
     edges.append((min(last), max(last)))
     return edges
 
+
+
+def prufer_tree(seq, n):
+    """Decode a Pruefer sequence of length n-2 into a labelled tree on n
+    vertices, with a heap of leaves; checked against ``prufer_decode``."""
+    if n < 2:
+        raise ValueError("Pruefer decoding needs n >= 2")
+    if len(seq) != n - 2:
+        raise ValueError("Pruefer sequence must have length n-2")
+    if any(not 0 <= v < n for v in seq):
+        raise ValueError("Pruefer sequence labels must lie in 0..n-1")
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
+    edges.append((u, w))
+    return SimpleGraph.from_edges(n, edges)
 
 @cache
 def labelled_trees(n):

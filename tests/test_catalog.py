@@ -17,11 +17,12 @@ from kneserchrom import (
     fingerprint,
     kneser_psum,
     lambda_t,
+    lambda_t_tilde,
     parse_graph6,
     relabel,
     verify_trees,
 )
-from kneserchrom import kneser
+from kneserchrom import generate, graphs, kneser
 
 P4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -190,7 +191,8 @@ def test_verify_trees_profiles_each_class_once(monkeypatch):
         return profile(g)
 
     monkeypatch.setattr(kneser, "min_degree_sequence", counted)
-    kneser._class_profile.cache_clear()
+    for cache in (kneser._code_profile, kneser._centre_rooted, graphs._tree_form):
+        cache.cache_clear()
     records = verify_trees(7)["records"]
     # each distinct class form once, however many trees or rebuilds share it
     distinct = {cls for n in range(1, 8) for t in enumerate_trees(n) for cls in lambda_t(t)}
@@ -198,6 +200,35 @@ def test_verify_trees_profiles_each_class_once(monkeypatch):
     # the minimal-profile class of a tree is unique
     assert all(r["lambda_t_tilde_size"] == 1 for r in records)
 
+
+
+def test_verify_trees_searches_each_distinct_tree_once(monkeypatch):
+    # cold: every package cache that could already hold a search is emptied
+    for fn in (
+        graphs._canonical_form_cached,
+        graphs._tree_form,
+        generate.enumerate_trees,
+        kneser._centre_rooted,
+        kneser._code_profile,
+    ):
+        fn.cache_clear()
+    searched = []
+    search = graphs._canonical_edge_list
+
+    def counted(n, weighted_edges):
+        body, aut = search(n, weighted_edges)
+        searched.append(f"{n}:" + json.dumps(body, separators=(",", ":")))
+        return body, aut
+
+    monkeypatch.setattr(graphs, "_canonical_edge_list", counted)
+    verify_trees(7)
+    monkeypatch.undo()
+    # the trees it names: the inputs and each one's minimal-profile class
+    trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    named = {graphs.canonical_form(t) for t in trees}
+    named |= {cls[0] for t in trees for cls in lambda_t_tilde(t)[0]}
+    assert len(searched) == len(set(searched)) == len(named) == 36
+    assert set(searched) == named
 
 def test_verify_trees_rejects_bad_bound():
     with pytest.raises(ValueError):

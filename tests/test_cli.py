@@ -8,6 +8,7 @@ from ``pyproject.toml`` in a fresh interpreter.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -134,6 +135,26 @@ def test_verify_output_is_deterministic(capsys):
         assert first[0] == 0 and first[1] == second[1]
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["verify", "--nmax", "9", "--witness"],
+            "6c034878172875e1d1513c980cecc8d004298d04ed3f3efdcfce8e7a1cb9ad45",
+        ),
+        (
+            ["collide", "--nmax", "5", "--k", "2"],
+            "456b0a746851b3b8dc7c005997137103ab94ae27cc9d7e0f6cb22e8c97b24199",
+        ),
+    ],
+    ids=["verify-n9-witness", "collide-n5-k2"],
+)
+def test_cli_stdout_digest_frozen(capsys, argv, digest):
+    # the full text output of the two benchmarked runs, byte for byte
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 def test_collide_small(capsys):
     code, out, _ = run_cli(capsys, "collide", "--nmax", "3")
     assert code == 0
@@ -161,7 +182,7 @@ def test_exit_code_cap_exceeded(capsys):
     big = SimpleGraph.from_edges(8, [(i, i + 1) for i in range(7)])
     code, _, err = run_cli(capsys, "invariant", write_graph6(big))
     assert code == 3 and err.startswith("error:")
-    # trees up to 9 vertices verify first, then the 10-vertex trees hit LAMBDA_T_CAP
+    # an n_max above LAMBDA_T_CAP is refused before any tree
     code, _, err = run_cli(capsys, "verify", "--nmax", "10")
     assert code == 3 and err.startswith("error:")
 
@@ -206,6 +227,13 @@ def test_exit_code_reconstruct_no_tree_classes(capsys, tmp_path):
         {"n": 2, "k": 2, "terms": [{"class": ['3:[[0,1],[1,"a"]]'], "coeff": 1}]},
         {"n": 2, "k": 2, "terms": [{"class": ["3:[[0,1],[1,2.5]]"], "coeff": 1}]},
         {"n": 2, "k": 2, "terms": [{"class": ["3:[[0,2],[1]]"], "coeff": 1}]},
+        # components that are not their own canonical class string, or not connected
+        {"n": 2, "k": 2, "terms": [{"class": ["3:[[1,0],[1,2]]"], "coeff": 1}]},
+        {"n": 2, "k": 2, "terms": [{"class": ["3:[[0,1],[0,2]]"], "coeff": 1}]},
+        {"n": 2, "k": 2, "terms": [{"class": ["03:[[0,2],[1,2]]"], "coeff": 1}]},
+        {"n": 2, "k": 2, "terms": [{"class": ["4:[[0,2],[1,3]]"], "coeff": 1}]},
+        {"n": 2, "k": 2, "terms": [{"class": ["4:[[0,1],[2,3]]"], "coeff": 1}]},
+        {"n": 1, "k": 1, "terms": [{"class": ["2:[[0],[1]]"], "coeff": 1}]},
     ],
 )
 def test_exit_code_reconstruct_malformed_terms(capsys, monkeypatch, payload):

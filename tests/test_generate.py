@@ -1,4 +1,4 @@
-"""Free-tree and graph enumeration against counts and a Pruefer oracle."""
+"""Free-tree and graph enumeration against counts and Pruefer oracles."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from oracles import labelled_trees, prufer_decode
+from oracles import labelled_trees, prufer_decode, prufer_tree
 
 from kneserchrom import (
     FREE_TREE_COUNTS,
@@ -15,7 +15,6 @@ from kneserchrom import (
     enumerate_graphs,
     enumerate_trees,
     is_tree,
-    prufer_tree,
 )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import networkx as nx
@@ -21,6 +22,7 @@ from kneserchrom import (
     component_class_string,
     connected_components,
     enumerate_graphs,
+    enumerate_trees,
     graph_components,
     graph_from_form,
     induced_subgraph,
@@ -31,7 +33,7 @@ from kneserchrom import (
     relabel,
     singleton_class_string,
 )
-from kneserchrom.graphs import _tree_code, _tree_from_code
+from kneserchrom.graphs import _canonical_edge_list, _tree_code, _tree_from_code
 from kneserchrom.kneser import _component_weights
 
 
@@ -138,6 +140,39 @@ def test_tree_code_agrees_with_canonical_form():
     # two centres (the middle of P4): both rootings give the same least code
     assert _tree_code(4, [(0, 1), (1, 2), (2, 3)]) == _tree_code(4, [(2, 0), (0, 3), (3, 1)])
 
+
+
+def test_tree_code_refuses_non_trees():
+    # n - 1 edges with a cycle: the leaf peeling used to loop forever here
+    for n, edges in [
+        (4, [(0, 1), (1, 2), (0, 2)]),
+        (3, [(0, 1), (1, 2), (0, 2)]),
+        (3, [(0, 1), (0, 1)]),
+        (2, [(0, 0)]),
+        (3, [(0, 1)]),
+        (0, []),
+    ]:
+        with pytest.raises(ValueError, match="do not form a tree"):
+            _tree_code(n, edges)
+    # such graphs still reach the ordinary search through canonical_form
+    g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    assert canonical_form(g) == canonical_form(SimpleGraph.from_edges(4, [(1, 2), (2, 3), (1, 3)]))
+    assert automorphism_count(g) == 6
+
+
+def test_tree_forms_are_labelling_invariant():
+    # trees are looked up by code and searched on the code-decoded labelling;
+    # the search run on the input's own labelling must give the same result
+    rng = random.Random(10)
+    for n in range(1, 11):
+        for tree in enumerate_trees(n):
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = relabel(tree, perm)
+                body, aut = _canonical_edge_list(n, tuple((e, 1) for e in g.sorted_edges()))
+                assert canonical_form(g) == f"{n}:" + json.dumps(body, separators=(",", ":"))
+                assert automorphism_count(g) == aut
 
 def test_parse_and_materialise_form():
     g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])

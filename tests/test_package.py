@@ -25,6 +25,9 @@ def test_all_matches_public_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert set(kneserchrom.__all__) == public
+    # test-only helpers live in tests/oracles.py, not in the package
+    for name in ("prufer_tree",):
+        assert not hasattr(kneserchrom, name) and not hasattr(kneserchrom.generate, name)
 
 
 def unused_imports(path: Path) -> list[str]:
