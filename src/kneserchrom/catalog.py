@@ -21,7 +21,6 @@ from .graph6 import parse_graph6, write_graph6
 from .graphs import (
     CapExceededError,
     SimpleGraph,
-    _tree_form,
     are_isomorphic,
     canonical_form,
     graph_from_form,
@@ -32,7 +31,7 @@ from .kneser import (
     PSUM_VERTEX_CAP,
     PSeries,
     _lambda_t_codes,
-    _minimal_codes,
+    _minimal_tree_classes,
     augment_tree_lambda,
     is_admissible,
     kneser_psum,
@@ -194,8 +193,7 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
             started = time.perf_counter()
             g6 = canonical_graph6(tree)
             codes = _lambda_t_codes(tree)
-            minimal, profile = _minimal_codes(codes)
-            tilde = frozenset((_tree_form(code)[0],) for code in minimal)
+            tilde, profile = _minimal_tree_classes(codes)
             result = _delete_minimum_leaf(tilde)
             ok = are_isomorphic(result.graph, tree)
             record = {

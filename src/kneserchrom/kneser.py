@@ -301,19 +301,32 @@ def _check_series_args(g: SimpleGraph, k: int, coeffs: str, what: str) -> None:
 @lru_cache(maxsize=1 << 12)
 def _is_component_string(comp: str, k: int) -> bool:
     """Whether ``comp`` is ``w:`` with w >= 1, then a non-empty JSON list of
-    blocks, each a list of k distinct ints in 0..w-1, whose symbol graph is
-    connected and which spells its own canonical class string.  Cached
-    (4096 entries), so reading a series cache checks each distinct string
-    once."""
+    at most ``PSUM_VERTEX_CAP`` blocks, each a list of k distinct ints, that
+    use exactly the symbols 0..w-1, whose symbol graph is connected and
+    which spells its own canonical class string.
+
+    A series is computed only within ``PSUM_VERTEX_CAP`` vertices, one block
+    per vertex, so no component has more blocks, nor (being connected) more
+    than ``PSUM_VERTEX_CAP + 1`` symbols.  The block count and the symbol
+    set are checked before any graph is built, so a short string claiming a
+    huge width, or a long cycle, is refused without allocating that width
+    or running a long canonical search.  Cached (4096 entries), so reading
+    a series cache checks each distinct string once."""
     try:
         w, blocks = parse_form(comp)
     except (TypeError, ValueError):
         return False
-    well_formed = comp.partition(":")[0].isdigit() and w >= 1 and len(blocks) > 0 and all(
-        all(type(x) is int and 0 <= x < w for x in b) and len(b) == len(set(b)) == k
-        for b in blocks
+    well_formed = (
+        comp.partition(":")[0].isdigit()
+        and 0 < len(blocks) <= PSUM_VERTEX_CAP
+        and all(all(type(x) is int for x in b) and len(b) == len(set(b)) == k for b in blocks)
     )
-    if not well_formed or (k == 2 and not is_connected(Multigraph.from_pairs(w, blocks).simple())):
+    if not well_formed:
+        return False
+    symbols = {x for b in blocks for x in b}
+    if len(symbols) != w or symbols != set(range(w)):
+        return False
+    if k == 2 and not is_connected(Multigraph.from_pairs(w, blocks).simple()):
         return False
     return _blocks_class_string(sorted(tuple(sorted(b)) for b in blocks)) == comp
 
@@ -938,8 +951,11 @@ def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
 
     Each tree class is profiled by the minimum rooted degree sequence of its
     symbol tree; the classes attaining the lexicographic minimum are the
-    ones reconstruction deletes a leaf from.
+    ones reconstruction deletes a leaf from.  A tree's classes are
+    profiled by their codes, and only the minimal ones are canonicalised.
     """
+    if is_tree(g):
+        return _minimal_tree_classes(_lambda_t_codes(g))
     classes = lambda_t(g, 2)
     if not classes:
         raise ValueError("graph has no tree classes in its support")
@@ -968,6 +984,12 @@ def _minimal_codes(codes) -> tuple[frozenset[str], tuple[int, ...]]:
         raise ValueError("no tree classes to reconstruct from")
     best = min(profiled.values())
     return frozenset(c for c, p in profiled.items() if p == best), best
+
+
+def _minimal_tree_classes(codes) -> tuple[frozenset[PClass], tuple[int, ...]]:
+    """``_minimal_codes`` with the minimal codes named by their class forms."""
+    minimal, best = _minimal_codes(codes)
+    return frozenset((_tree_form(code)[0],) for code in minimal), best
 
 
 @lru_cache(maxsize=1 << 12)

@@ -211,6 +211,11 @@ def test_exit_code_reconstruct_no_tree_classes(capsys, tmp_path):
     assert code == 2 and "no tree classes" in err
 
 
+# a 12-cycle and a 21-symbol path: wider than any series component
+CYCLE12 = "12:" + json.dumps([[i, i + 1] for i in range(11)] + [[0, 11]], separators=(",", ":"))
+PATH21 = "21:" + json.dumps([[i, i + 1] for i in range(20)], separators=(",", ":"))
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -234,6 +239,11 @@ def test_exit_code_reconstruct_no_tree_classes(capsys, tmp_path):
         {"n": 2, "k": 2, "terms": [{"class": ["4:[[0,2],[1,3]]"], "coeff": 1}]},
         {"n": 2, "k": 2, "terms": [{"class": ["4:[[0,1],[2,3]]"], "coeff": 1}]},
         {"n": 1, "k": 1, "terms": [{"class": ["2:[[0],[1]]"], "coeff": 1}]},
+        # refused before a graph of the claimed width or a long search is built
+        {"n": 2, "k": 2, "terms": [{"class": ["999999999:[[0,1]]"], "coeff": 1}]},
+        {"n": 2, "k": 1, "terms": [{"class": ["999999999:[[0]]"], "coeff": 1}]},
+        {"n": 12, "k": 2, "terms": [{"class": [CYCLE12], "coeff": 1}]},
+        {"n": 20, "k": 2, "terms": [{"class": [PATH21], "coeff": 1}]},
     ],
 )
 def test_exit_code_reconstruct_malformed_terms(capsys, monkeypatch, payload):
