@@ -177,7 +177,9 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
     them, reconstruct, and compare with the original up to isomorphism.
     Afterwards check that no two trees produced the same tree-class set.
     With ``witness`` also confirm, per tree, that an admissibility witness
-    of its canonical augmented multiset induces a position isomorphism.
+    of its canonical augmented multiset is a bijection onto that multiset
+    with intersecting blocks on every edge, and that it induces a position
+    isomorphism.
     Refuses an ``n_max`` above ``LAMBDA_T_CAP`` before any tree.
     """
     if n_max < 1:
@@ -208,9 +210,9 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
             if witness:
                 aug = augment_tree_lambda(tree)
                 found = is_admissible(aug.lam, tree)
-                witness_ok = found is not None and verify_tau_isomorphism(
-                    tree, aug.lam, found
-                )
+                witness_ok = False
+                if found is not None and found.realises(aug.lam, tree):
+                    witness_ok = verify_tau_isomorphism(tree, aug.lam, found)
                 record["witness_ok"] = bool(witness_ok)
                 ok = ok and witness_ok
                 record["pass"] = bool(ok)

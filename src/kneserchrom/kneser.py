@@ -81,7 +81,7 @@ from .graphs import (
     parse_form,
     singleton_class_string,
 )
-from .profiles import min_degree_sequence, minimum_leaves, rooted_order
+from .profiles import _minimum_rootings, min_degree_sequence
 
 #: full subset expansions are enumerated only up to this many vertices
 PSUM_VERTEX_CAP = 7
@@ -108,6 +108,17 @@ class AdmissibleWitness:
 
     def mapping(self) -> dict[int, tuple[int, ...]]:
         return dict(self.assignment)
+
+    def realises(self, lam: Lambda, g: SimpleGraph) -> bool:
+        """True when this is a bijection of V(G) onto the blocks of ``lam``
+        (as a multiset) with intersecting blocks on every edge of ``g``."""
+        phi = self.mapping()
+        return (
+            len(self.assignment) == g.n
+            and set(phi) == set(range(g.n))
+            and Counter(phi.values()) == Counter(lam.blocks)
+            and all(set(phi[u]) & set(phi[v]) for u, v in g.edges)
+        )
 
 
 def _search_order(g: SimpleGraph) -> tuple[list[int], list[list[int]]]:
@@ -140,41 +151,58 @@ def _search_order(g: SimpleGraph) -> tuple[list[int], list[list[int]]]:
     return order, earlier
 
 
-def _placements(g: SimpleGraph, blocks):
-    """Every bijection of V(G) onto the multiset ``blocks`` that puts
-    intersecting blocks on adjacent vertices, as sorted (vertex, block) pairs.
+def _placement(g: SimpleGraph, blocks):
+    """The first bijection of V(G) onto the multiset ``blocks`` that puts
+    intersecting blocks on adjacent vertices, as sorted (vertex, block)
+    pairs, or None when there is none.
 
-    Vertices are placed in ``_search_order`` and distinct blocks tried in
-    sorted order, so the placements come in a fixed order.  The search is
-    pruned by a necessary condition: a vertex of degree d needs a block
-    whose intersecting blocks can host d neighbours.
+    Blocks are searched by twin group: two blocks are twins when they meet
+    exactly the same blocks (equal rows of the intersection matrix; every
+    block meets itself, so twins meet each other too).  Swapping two twins
+    in an admissible placement gives another one, so each group is tried
+    once, as one value whose capacity is its summed multiplicity, and the
+    existence of a placement is decided exactly as by a search over the
+    blocks themselves.  Vertices are placed in ``_search_order`` and groups
+    tried in the order of their least block; a complete placement hands
+    each group's blocks out in sorted order along the search order.  The
+    search is pruned by a necessary condition: a vertex of degree d needs a
+    block whose intersecting blocks can host d neighbours.
     """
     counts = Counter(blocks)
     distinct = sorted(counts)
-    caps = [counts[b] for b in distinct]
     sets = [set(b) for b in distinct]
-    inter = [[bool(sa & sb) for sb in sets] for sa in sets]
+    rows = [tuple(bool(sa & sb) for sb in sets) for sa in sets]
+    twins: dict[tuple[bool, ...], list] = {}
+    for b, row in zip(distinct, rows):
+        twins.setdefault(row, []).extend([b] * counts[b])
+    groups = list(twins.values())
+    inter = [[bool(set(ga[0]) & set(gb[0])) for gb in groups] for ga in groups]
+    caps = [len(members) for members in groups]
     avail = [sum(c for c, meets in zip(caps, row) if meets) - 1 for row in inter]
     order, earlier = _search_order(g)
     deg = g.degrees()
     chosen: list[int] = []
 
-    def extend(i: int):
+    def extend(i: int) -> bool:
         if i == len(order):
-            yield tuple(sorted((v, distinct[chosen[j]]) for j, v in enumerate(order)))
-            return
+            return True
         need = deg[order[i]]
-        for bi in range(len(distinct)):
-            if caps[bi] == 0 or avail[bi] < need:
+        for gi in range(len(groups)):
+            if caps[gi] == 0 or avail[gi] < need:
                 continue
-            if all(inter[bi][chosen[j]] for j in earlier[i]):
-                caps[bi] -= 1
-                chosen.append(bi)
-                yield from extend(i + 1)
+            if all(inter[gi][chosen[j]] for j in earlier[i]):
+                caps[gi] -= 1
+                chosen.append(gi)
+                if extend(i + 1):
+                    return True
                 chosen.pop()
-                caps[bi] += 1
+                caps[gi] += 1
+        return False
 
-    yield from extend(0)
+    if not extend(0):
+        return None
+    handout = [iter(members) for members in groups]
+    return tuple(sorted((v, next(handout[gi])) for v, gi in zip(order, chosen)))
 
 
 def is_admissible(lam: Lambda, g: SimpleGraph) -> AdmissibleWitness | None:
@@ -182,13 +210,16 @@ def is_admissible(lam: Lambda, g: SimpleGraph) -> AdmissibleWitness | None:
 
     Searches for a bijection of V(G) onto the blocks of ``lam`` (as a
     multiset) such that adjacent vertices receive intersecting blocks;
-    returns one witness, or None.  Requires exactly n blocks.
+    returns one witness, or None.  Requires exactly n blocks.  Blocks that
+    meet the same blocks are interchangeable and searched once
+    (``_placement``): the first witness may differ from a search over the
+    blocks one by one, the decision does not.
     """
     if len(lam.blocks) != g.n:
         raise ValueError(
             f"block count {len(lam.blocks)} must equal vertex count {g.n}"
         )
-    assignment = next(_placements(g, lam.blocks), None)
+    assignment = _placement(g, lam.blocks)
     return None if assignment is None else AdmissibleWitness(assignment)
 
 
@@ -1023,8 +1054,7 @@ def augment_tree_lambda(g: SimpleGraph) -> TreeAugmentation:
     with one pendant symbol attached at the root, so its minimum profile is
     (1, 1 + r(T)_1, r(T)_2, ..., r(T)_n).
     """
-    leaf = minimum_leaves(g)[0]
-    ro = rooted_order(g, leaf)
+    ro = _minimum_rootings(g)[0]
     assignment = []
     for i, v in enumerate(ro.order):
         pos = i + 1

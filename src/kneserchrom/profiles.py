@@ -88,8 +88,9 @@ def min_rooted_degree_sequence(g: SimpleGraph, root: int) -> DegreeProfile:
     return rooted_order(g, root).profile
 
 
-def _minimum_rootings(g: SimpleGraph) -> tuple[DegreeProfile, tuple[int, ...]]:
-    """r(T) and the minimum leaves, from one pass over the leaf roots.
+def _minimum_rootings(g: SimpleGraph) -> tuple[RootedOrder, ...]:
+    """The rooted orders attaining r(T), by root label, from one pass over
+    the leaf roots.
 
     An internal root never attains r(T) (see the module docstring), so only
     vertices of degree at most 1 are tried: the leaves, or the sole vertex
@@ -98,16 +99,14 @@ def _minimum_rootings(g: SimpleGraph) -> tuple[DegreeProfile, tuple[int, ...]]:
     _require_tree(g)
     adj = g.adjacency()
     deg = g.degrees()
-    profiles = {
-        v: _rooted_order(adj, deg, v).profile for v in range(g.n) if deg[v] <= 1
-    }
-    best = min(profiles.values())
-    return best, tuple(v for v, p in profiles.items() if p == best)
+    rootings = [_rooted_order(adj, deg, v) for v in range(g.n) if deg[v] <= 1]
+    best = min(ro.profile for ro in rootings)
+    return tuple(ro for ro in rootings if ro.profile == best)
 
 
 def min_degree_sequence(g: SimpleGraph) -> DegreeProfile:
     """r(T) = min over all roots of r(T, root)."""
-    return _minimum_rootings(g)[0]
+    return _minimum_rootings(g)[0].profile
 
 
 def minimum_leaves(g: SimpleGraph) -> tuple[int, ...]:
@@ -115,4 +114,4 @@ def minimum_leaves(g: SimpleGraph) -> tuple[int, ...]:
 
     For n >= 2 these are leaves; for the one-vertex tree the sole vertex.
     """
-    return _minimum_rootings(g)[1]
+    return tuple(ro.order[0] for ro in _minimum_rootings(g))

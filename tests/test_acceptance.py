@@ -230,14 +230,18 @@ def test_criterion_8_position_map_witnesses(capsys):
                     )
                     maps += 1
                 trees += 1
-        for t in enumerate_trees(7):
-            aug = augment_tree_lambda(t)
-            witness = is_admissible(aug.lam, t)
-            assert witness is not None
-            assert verify_tau_isomorphism(t, aug.lam, witness)
-            maps += 1
-            trees += 1
-        return f"position maps of {maps} witnesses across {trees} trees are isomorphisms (all bijections n<=6, one witness n=7)"
+        for n in range(7, 12):
+            for t in enumerate_trees(n):
+                aug = augment_tree_lambda(t)
+                witness = is_admissible(aug.lam, t)
+                assert witness is not None, f"{canonical_form(t)}: no witness"
+                assert witness.realises(aug.lam, t), f"{canonical_form(t)}: not a witness"
+                assert verify_tau_isomorphism(t, aug.lam, witness), (
+                    f"{canonical_form(t)}: position map of the witness not an isomorphism"
+                )
+                maps += 1
+                trees += 1
+        return f"position maps of {maps} witnesses across {trees} trees are isomorphisms (all bijections n<=6, one witness per tree n=7..11)"
 
     _run(capsys, 8, body)
 

@@ -22,7 +22,7 @@ from kneserchrom import (
     relabel,
     verify_trees,
 )
-from kneserchrom import generate, graphs, kneser
+from kneserchrom import catalog, generate, graphs, kneser
 
 P4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -179,6 +179,23 @@ def test_verify_trees_witness_mode():
     report = verify_trees(4, witness=True)
     assert report["summary"]["all_pass"] is True
     assert all(record["witness_ok"] for record in report["records"])
+
+
+def test_verify_trees_refuses_witness_off_the_multiset(monkeypatch):
+    # the root's block (0, 1) swapped for (1, 1): same maximum, so the
+    # position map still passes, but the block is not in the multiset
+    search = catalog.is_admissible
+
+    def foreign(lam, g):
+        found = search(lam, g)
+        return kneser.AdmissibleWitness(
+            tuple((v, (1, 1) if b == (0, 1) else b) for v, b in found.assignment)
+        )
+
+    monkeypatch.setattr(catalog, "is_admissible", foreign)
+    report = verify_trees(4, witness=True)
+    assert not any(record["witness_ok"] for record in report["records"])
+    assert report["summary"]["failures"] == report["summary"]["trees"] == 5
 
 
 def test_verify_trees_profiles_each_class_once(monkeypatch):

@@ -46,12 +46,15 @@ from kneserchrom import (
     lambda_t,
     lambda_t_tilde,
     parse_form,
+    parse_graph6,
     pseries_eval,
     random_values,
     true_basis,
+    verify_tau_isomorphism,
 )
 from kneserchrom import kneser
 from kneserchrom.kneser import (
+    AdmissibleWitness,
     PSUM_SUBSET_CAP,
     _component_weights,
     _merge_expansion,
@@ -100,7 +103,63 @@ def test_is_admissible_matches_brute_bijections():
         for choice in itertools.combinations_with_replacement(blocks4, 4):
             lam = Lambda.from_blocks(2, choice)
             brute = all_block_bijections(g.n, g.sorted_edges(), list(lam.blocks))
-            assert (is_admissible(lam, g) is not None) == bool(brute)
+            witness = is_admissible(lam, g)
+            assert (witness is not None) == bool(brute)
+            assert witness is None or witness.realises(lam, g)
+
+
+def test_is_admissible_twin_groups_match_brute_bijections():
+    # (0,2) and (0,3) meet the same blocks whatever else is drawn, (0,1)
+    # joins them only while (1,4) is absent: every 5-block multiset over
+    # this star-shaped pool, on every connected graph with five vertices
+    # and at most five edges
+    import itertools
+
+    pool = [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5)]
+    sparse = [g for g in enumerate_graphs(5) if is_connected(g) and len(g.edges) <= 5]
+    assert len(sparse) == 8
+    found = 0
+    for g in sparse:
+        for choice in itertools.combinations_with_replacement(pool, 5):
+            lam = Lambda.from_blocks(2, choice)
+            brute = all_block_bijections(g.n, g.sorted_edges(), list(lam.blocks))
+            witness = is_admissible(lam, g)
+            assert (witness is not None) == bool(brute), (sorted(g.edges), choice)
+            if witness is not None:
+                assert witness.realises(lam, g)
+                found += 1
+    assert found > 0
+
+
+def test_double_star_witness():
+    # two centres carrying three and four leaves: seven interchangeable
+    # pendant blocks, the slowest witness search among the trees with n <= 9
+    # before blocks were grouped
+    tree = parse_graph6("H???F?^")
+    aug = augment_tree_lambda(tree)
+    witness = is_admissible(aug.lam, tree)
+    assert witness is not None
+    assert witness.realises(aug.lam, tree)
+    assert verify_tau_isomorphism(tree, aug.lam, witness)
+
+
+def test_witness_realises_rejects_foreign_blocks():
+    aug = augment_tree_lambda(P3)
+    good = is_admissible(aug.lam, P3)
+    assert good.realises(aug.lam, P3)
+    phi = good.mapping()
+    root = next(v for v, b in phi.items() if b == (0, 1))
+    # (1, 1) is outside the multiset, yet has the same maximum and meets
+    # its neighbour's block, so the position map alone still passes
+    foreign = AdmissibleWitness(tuple(sorted({**phi, root: (1, 1)}.items())))
+    assert verify_tau_isomorphism(P3, aug.lam, foreign)
+    assert not foreign.realises(aug.lam, P3)
+    missing = AdmissibleWitness(good.assignment[:-1])
+    assert not missing.realises(aug.lam, P3)
+    doubled = AdmissibleWitness(good.assignment[:-1] + ((0, good.assignment[-1][1]),))
+    assert not doubled.realises(aug.lam, P3)
+    split = AdmissibleWitness(tuple(sorted({0: (0, 1), 1: (2, 3), 2: (1, 2)}.items())))
+    assert not split.realises(aug.lam, P3)
 
 
 def test_is_admissible_block_count_mismatch():

@@ -1,6 +1,7 @@
 """Property tests: relabel-invariance of the isomorphism-invariant outputs
 (the tree code among them),
-series evaluation against direct evaluation, and the graph6 round trip, on
+series evaluation against direct evaluation, the admissibility decision
+against the bijection oracle, and the graph6 round trip, on
 Hypothesis-drawn graphs and trees.
 
 Trees come from the oracle's Pruefer decoder, not the package's own, and
@@ -16,13 +17,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import prufer_decode
+from oracles import all_block_bijections, prufer_decode
 
 from kneserchrom import (
     LAMBDA_T_CAP,
+    Lambda,
     SimpleGraph,
     canonical_form,
     direct_eval,
+    is_admissible,
     kneser_psum,
     lambda_t,
     min_degree_sequence,
@@ -124,6 +127,33 @@ def test_series_and_true_basis_are_relabel_invariant(case):
         assert true_basis(kneser_psum(h, k)) == true_basis(series)
     # past the cache keyed by canonical form: the subset route on the relabelled graph itself
     assert _psum_subsets(h, 2, True)[0] == series.terms
+
+
+@st.composite
+def connected_graphs(draw, max_n: int):
+    """A tree from the oracle's decoder plus any extra edges."""
+    t = draw(trees(max_n))
+    pairs = [(u, v) for v in range(t.n) for u in range(v)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SimpleGraph.from_edges(t.n, list(t.edges) + extra)
+
+
+#: pendant blocks at symbol 0 are twins unless another block tells them apart
+PENDANTS = [(0, s) for s in range(1, 5)]
+PAIRS = [(a, b) for b in range(5) for a in range(b)]
+
+
+@bounded(60)
+@given(connected_graphs(max_n=6), st.data())
+def test_is_admissible_matches_brute_bijections_with_twins(g, data):
+    k2 = st.one_of(st.sampled_from(PENDANTS), st.sampled_from(PAIRS))
+    k1 = st.tuples(st.integers(0, 2))
+    for k, block in ((2, k2), (1, k1)):
+        lam = Lambda.from_blocks(k, data.draw(st.lists(block, min_size=g.n, max_size=g.n)))
+        brute = all_block_bijections(g.n, g.sorted_edges(), list(lam.blocks))
+        witness = is_admissible(lam, g)
+        assert (witness is not None) == bool(brute)
+        assert witness is None or witness.realises(lam, g)
 
 
 @bounded(60)
