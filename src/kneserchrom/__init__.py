@@ -46,20 +46,15 @@ from .graphs import (
 )
 from .kneser import (
     FIXED_PRIME,
-    LAMBDA_T_CAP,
     PSUM_VERTEX_CAP,
     AdmissibleWitness,
     PSeries,
-    SupportReport,
     TreeAugmentation,
-    admissible_for_subgraph,
     augment_tree_lambda,
     block_universe,
     direct_eval,
-    enumerate_admissible_classes,
     is_admissible,
     kneser_psum,
-    lambda_support,
     lambda_t,
     lambda_t_tilde,
     pseries_eval,
@@ -81,6 +76,7 @@ from .reconstruct import (
     tau_map,
     verify_tau_isomorphism,
 )
+from .trees import LAMBDA_T_CAP
 
 __version__ = "0.1.0"
 
@@ -102,10 +98,8 @@ __all__ = [
     "RootedOrder",
     "SeriesCache",
     "SimpleGraph",
-    "SupportReport",
     "TreeAugmentation",
     "VERTEX_CAP",
-    "admissible_for_subgraph",
     "are_isomorphic",
     "augment_tree_lambda",
     "automorphism_count",
@@ -117,7 +111,6 @@ __all__ = [
     "component_class_string",
     "connected_components",
     "direct_eval",
-    "enumerate_admissible_classes",
     "enumerate_graphs",
     "enumerate_trees",
     "fingerprint",
@@ -129,7 +122,6 @@ __all__ = [
     "is_tree",
     "kneser_psum",
     "lambda_class",
-    "lambda_support",
     "lambda_t",
     "lambda_t_tilde",
     "min_degree_sequence",

@@ -26,12 +26,9 @@ from .graphs import (
     graph_from_form,
 )
 from .kneser import (
-    LAMBDA_T_CAP,
     PSUM_SUBSET_CAP,
     PSUM_VERTEX_CAP,
     PSeries,
-    _lambda_t_codes,
-    _minimal_tree_classes,
     augment_tree_lambda,
     is_admissible,
     kneser_psum,
@@ -40,6 +37,7 @@ from .kneser import (
     true_basis,
 )
 from .reconstruct import _delete_minimum_leaf, verify_tau_isomorphism
+from .trees import LAMBDA_T_CAP, _lambda_t_codes, _minimal_tree_classes
 
 #: seed used by fingerprints and collision search when none is given
 DEFAULT_SEED = 1729

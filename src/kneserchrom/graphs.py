@@ -19,8 +19,10 @@ isomorphism-invariant, so equal strings still hold exactly for isomorphic
 inputs and the search stays tractable on the small, mostly rigid graphs
 this package works with.  The same search counts automorphisms
 (``automorphism_count``).  Trees are looked up by their centre-rooted AHU
-code (``_tree_code``) first, so each distinct tree is searched once.  A
-hard vertex cap keeps accidental huge inputs from hanging the process.
+code (``_centre_code``) first, so each distinct tree is searched once;
+this module keeps only what that lookup needs, and every other algorithm
+on tree codes lives in ``trees.py``.  A hard vertex cap keeps accidental
+huge inputs from hanging the process.
 """
 
 from __future__ import annotations
@@ -220,11 +222,8 @@ def is_connected(g: SimpleGraph) -> bool:
 
 def is_tree(g: SimpleGraph | Multigraph) -> bool:
     """Connected and acyclic.  A multigraph with a repeated edge is never a tree."""
-    if isinstance(g, Multigraph):
-        if g.edge_count() != g.n - 1:
-            return False
-        return is_connected(g.simple()) and len(g.simple().edges) == g.n - 1
-    return len(g.edges) == g.n - 1 and is_connected(g)
+    pairs = g.edge_list() if isinstance(g, Multigraph) else g.edges
+    return _tree_adjacency(g.n, pairs) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -463,23 +462,15 @@ def _tree_adjacency(n: int, edges) -> list[list[int]] | None:
     return adj if all(seen) else None
 
 
-def _tree_code(n: int, edges) -> str:
-    """AHU code (Aho, Hopcroft and Ullman) of a tree on n >= 1 vertices,
-    rooted at its centre.  Raises ``ValueError`` unless the input is a tree.
+def _centre_code(adj: list[list[int]]) -> str:
+    """AHU code (Aho, Hopcroft and Ullman) of a tree given by its adjacency
+    lists, rooted at its centre.
 
     Leaves are peeled layer by layer until the one or two centre vertices
     remain; with two centres the lesser rooted code is taken.  A rooted
     code names the rooted tree exactly and isomorphisms map centres to
     centres, so two trees get the same code exactly when they are
     isomorphic."""
-    adj = _tree_adjacency(n, edges)
-    if adj is None:
-        raise ValueError(f"edges do not form a tree on {n} vertices")
-    return _centre_code(adj)
-
-
-def _centre_code(adj: list[list[int]]) -> str:
-    """``_tree_code`` of a tree given by its adjacency lists."""
     n = len(adj)
     deg = [len(a) for a in adj]
     layer = [v for v in range(n) if deg[v] <= 1]
@@ -515,18 +506,6 @@ def _tree_from_code(code: str) -> list[tuple[int, int]]:
         else:
             stack.pop()
     return edges
-
-
-def _code_children(code: str) -> list[str]:
-    """The codes of the root's children in a rooted AHU code, left to right."""
-    children: list[str] = []
-    depth, start = 0, 1
-    for i in range(1, len(code) - 1):
-        depth += 1 if code[i] == "(" else -1
-        if depth == 0:
-            children.append(code[start : i + 1])
-            start = i + 1
-    return children
 
 
 def relabel(g: SimpleGraph, perm: dict[int, int] | list[int]) -> SimpleGraph:

@@ -67,10 +67,7 @@ from .graphs import (
     Multigraph,
     SimpleGraph,
     _blocks_class_string,
-    _code_children,
-    _tree_code,
     _tree_form,
-    _tree_from_code,
     automorphism_count,
     canonical_form,
     graph_components,
@@ -81,14 +78,13 @@ from .graphs import (
     parse_form,
     singleton_class_string,
 )
-from .profiles import _minimum_rootings, min_degree_sequence
+from .profiles import _minimum_rootings
+from .trees import _lambda_t_codes, _minimal_profile, _minimal_tree_classes, _tree_classes
 
 #: full subset expansions are enumerated only up to this many vertices
 PSUM_VERTEX_CAP = 7
 #: k = 2 expansions visit every spanning subgraph: K6's 2^15 run, K7's 2^21 do not
 PSUM_SUBSET_CAP = 1 << 15
-#: tree-class extraction for a tree is capped here
-LAMBDA_T_CAP = 9
 #: fixed public 61-bit prime for all modular evaluation (2^61 - 1)
 FIXED_PRIME = (1 << 61) - 1
 
@@ -286,20 +282,6 @@ def _component_weights(form: str, k: int) -> dict[str, int]:
     return weights
 
 
-def enumerate_admissible_classes(g: SimpleGraph, k: int) -> frozenset[PClass]:
-    """All classes admissible by a connected graph, as one-component classes."""
-    _check_k(k)
-    if g.n < 1:
-        raise ValueError("need at least one vertex")
-    if g.n > PSUM_VERTEX_CAP:
-        raise CapExceededError(
-            f"class enumeration capped at {PSUM_VERTEX_CAP} vertices (got {g.n})"
-        )
-    if not is_connected(g):
-        raise ValueError("class enumeration is defined for connected graphs")
-    return frozenset((c,) for c in _component_weights(canonical_form(g), k))
-
-
 # ---------------------------------------------------------------------------
 # the power-sum series
 # ---------------------------------------------------------------------------
@@ -442,28 +424,21 @@ def _spanning_classes(sub: SimpleGraph, k: int) -> dict[PClass, int]:
     return partial
 
 
-def _psum_subsets(
-    g: SimpleGraph, k: int, witness: bool, collect_union: bool = False
-) -> tuple[dict[PClass, int], set[PClass]]:
+def _psum_subsets(g: SimpleGraph, k: int, witness: bool) -> dict[PClass, int]:
     """Signed class accumulation over all spanning subgraphs.
 
     With ``witness`` each component class enters with its witness count and
     assembly choices multiply; otherwise each assembled class counts once
-    per subgraph (set semantics).  Optionally also returns the plain union
-    of assembled classes over all subgraphs.
+    per subgraph (set semantics).
     """
     edges = g.sorted_edges()
     terms: dict[PClass, int] = defaultdict(int)
-    union: set[PClass] = set()
     for mask in range(1 << len(edges)):
         subset = [edges[i] for i in range(len(edges)) if mask >> i & 1]
         sign = -1 if len(subset) & 1 else 1
-        assembled = _spanning_classes(SimpleGraph(g.n, frozenset(subset)), k)
-        for cls, w in assembled.items():
+        for cls, w in _spanning_classes(SimpleGraph(g.n, frozenset(subset)), k).items():
             terms[cls] += sign * w if witness else sign
-        if collect_union:
-            union.update(assembled)
-    return {c: v for c, v in terms.items() if v}, union
+    return {c: v for c, v in terms.items() if v}
 
 
 # --- fast k = 1 route: recursions over vertex subsets ----------------------
@@ -514,7 +489,7 @@ def _psum_terms(form: str, k: int, coeffs: str) -> tuple[tuple[PClass, int], ...
     items, so that every caller builds its own dict from them."""
     g = graph_from_form(form)
     assert isinstance(g, SimpleGraph)
-    terms = _psum_k1(g) if k == 1 else _psum_subsets(g, k, coeffs == "witness")[0]
+    terms = _psum_k1(g) if k == 1 else _psum_subsets(g, k, coeffs == "witness")
     return tuple(terms.items())
 
 
@@ -528,27 +503,6 @@ def kneser_psum(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> PSeries:
     """
     _check_series_args(g, k, coeffs, "power-sum expansion")
     return PSeries(g.n, k, coeffs, dict(_psum_terms(canonical_form(g), k, coeffs)))
-
-
-def admissible_for_subgraph(
-    g: SimpleGraph, subset, k: int
-) -> frozenset[PClass]:
-    """Classes admissible by the spanning subgraph (V(G), subset).
-
-    The subgraph splits into components; each contributes its own class set
-    and the results combine as multiset unions (distinct symbol supports).
-    """
-    _check_k(k)
-    subset = [tuple(sorted(e)) for e in subset]
-    for e in subset:
-        if e not in g.edges:
-            raise ValueError(f"edge {e} is not an edge of the graph")
-    if g.n > PSUM_VERTEX_CAP:
-        raise CapExceededError(
-            f"class enumeration capped at {PSUM_VERTEX_CAP} vertices (got {g.n})"
-        )
-    sub = SimpleGraph.from_edges(g.n, subset)
-    return frozenset(_spanning_classes(sub, k))
 
 
 # ---------------------------------------------------------------------------
@@ -830,54 +784,8 @@ def true_basis(series: PSeries) -> dict[PClass, int]:
 
 
 # ---------------------------------------------------------------------------
-# support and tree classes
+# tree classes
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SupportReport:
-    """Signed support vs. plain union of admissible classes.
-
-    ``cancelled`` lists classes admissible by some spanning subgraph whose
-    signed coefficients sum to zero.  It is computed, not assumed empty:
-    already the k = 2 indicator series of K5 cancels some classes.
-    """
-
-    signed: frozenset[PClass]
-    union: frozenset[PClass]
-    cancelled: frozenset[PClass]
-
-
-def lambda_support(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> SupportReport:
-    """Support of the series alongside the union over all spanning subgraphs.
-
-    For k = 1 the union is the signed support: each nonzero partition product
-    has sign (-1)^(n - #blocks) and T(1, 0) >= 1 for a connected graph, so
-    nothing cancels."""
-    _check_series_args(g, k, coeffs, "support computation")
-    if k == 1:
-        terms = union = _psum_k1(g)
-    else:
-        terms, union = _psum_subsets(g, k, coeffs == "witness", collect_union=True)
-    signed, union = frozenset(terms), frozenset(union)
-    return SupportReport(signed, union, union - signed)
-
-
-def _form_is_tree(form: str) -> bool:
-    n, pairs = parse_form(form)
-    return all(len(p) == 2 for p in pairs) and is_tree(Multigraph.from_pairs(n, pairs))
-
-
-def _tree_classes(series: PSeries) -> frozenset[PClass]:
-    """Support classes of one component whose symbol graph is a tree on
-    n + 1 symbols."""
-    return frozenset(
-        cls
-        for cls in series.terms
-        if len(cls) == 1
-        and parse_form(cls[0])[0] == series.n + 1
-        and _form_is_tree(cls[0])
-    )
 
 
 def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
@@ -886,8 +794,8 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
 
     For k = 1 no class can span n+1 symbols, so the set is empty.  For
     other graphs the full series is computed and filtered.  For a tree G
-    the classes are read off G directly by ``_lambda_t_codes`` and each
-    distinct class tree is canonicalised once, through the code-keyed
+    the classes are read off G directly by ``trees._lambda_t_codes`` and
+    each distinct class tree is canonicalised once, through the code-keyed
     ``graphs._tree_form``.
     """
     _check_k(k)
@@ -896,85 +804,6 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     if not is_tree(g):
         return _tree_classes(kneser_psum(g, 2))
     return frozenset((_tree_form(code)[0],) for code in _lambda_t_codes(g))
-
-
-def _lambda_t_codes(g: SimpleGraph) -> frozenset[str]:
-    """Centre-rooted AHU codes of the tree classes of a tree G.
-
-    Only the full edge set of a tree can contribute a connected class, so
-    the tree classes are the admissible ones.  Root G anywhere and give the
-    root the block {0, 1}; every other vertex gets {s, t} with s a symbol
-    of its parent's block and t a new symbol.  These fills are admissible
-    by construction, and every tree class arises as one, from any root:
-    each block meets its parent's block, and n blocks spanning a tree on
-    n + 1 symbols each add exactly one new symbol.
-
-    The 2^(n-1) fills are not built.  G is rooted at its centre, and a
-    dynamic programme over its AHU code (``graphs._tree_code``) collects
-    what each vertex's descendants can hang at the two symbols of its
-    block (``_side_pairs``).  What a subtree hangs at its parent's symbol
-    depends only on the subtree's shape, so ``_hangs`` caches it by the
-    subtree's rooted code in a bounded ``lru_cache`` of 4096 entries; all
-    95 trees inside the cap need only 24 rooted shapes.  The root's pairs,
-    the largest sets, are computed uncached.  Each root pair names the
-    symbol tree rooted at the edge {0, 1}; ``_centre_rooted`` re-roots it
-    at its centre, so one code names one class.  Raises ``ValueError``
-    unless G is a tree, and ``CapExceededError`` above ``LAMBDA_T_CAP``.
-    """
-    n = g.n
-    if not is_tree(g):
-        raise ValueError("tree classes are read off trees only")
-    if n > LAMBDA_T_CAP:
-        raise CapExceededError(
-            f"tree-class extraction capped at {LAMBDA_T_CAP} vertices (got {n})"
-        )
-    codes = set()
-    for a, b in _side_pairs(_code_children(_tree_code(n, g.edges))):
-        # the lesser side roots the code, so a pair and its mirror agree
-        x, y = sorted(("(" + "".join(a) + ")", "(" + "".join(b) + ")"))
-        codes.add(x[:-1] + y + ")")
-    return frozenset(map(_centre_rooted, codes))
-
-
-def _side_pairs(child_codes: list[str]) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Below a vertex with block {shared, new} whose children have the
-    rooted codes ``child_codes``: every (codes hanging at new, codes hanging
-    at shared) that some fill of the subtrees yields, each side sorted.
-
-    Each child takes one of the two symbols as its own shared symbol and
-    hangs there what ``_hangs`` says it can."""
-    pairs = {((), ())}
-    for child in child_codes:
-        hangs = _hangs(child)
-        pairs = {
-            pair
-            for new, shared in pairs
-            for h in hangs
-            for pair in (
-                (tuple(sorted(new + h)), shared),
-                (new, tuple(sorted(shared + h))),
-            )
-        }
-    return pairs
-
-
-@lru_cache(maxsize=1 << 12)
-def _hangs(code: str) -> frozenset[tuple[str, ...]]:
-    """The sorted codes a vertex with rooted code ``code`` and its subtree
-    can hang at the symbol its block shares with its parent's: what its
-    children hang there, plus its own new symbol with what they hang at
-    that."""
-    return frozenset(
-        tuple(sorted(shared + ("(" + "".join(new) + ")",)))
-        for new, shared in _side_pairs(_code_children(code))
-    )
-
-
-@lru_cache(maxsize=1 << 14)
-def _centre_rooted(code: str) -> str:
-    """The centre-rooted code of the tree a rooted AHU code names, cached
-    in a bounded ``lru_cache`` of 16 384 entries."""
-    return _tree_code(code.count("("), _tree_from_code(code))
 
 
 def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
@@ -991,46 +820,6 @@ def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
     if not classes:
         raise ValueError("graph has no tree classes in its support")
     return _minimal_profile(classes)
-
-
-def _minimal_profile(classes) -> tuple[frozenset[PClass], tuple[int, ...]]:
-    """The tree classes of lexicographically least profile, and that profile.
-
-    Raises ``ValueError`` unless ``classes`` is a non-empty iterable of
-    single tree classes."""
-    codes = {}
-    for cls in map(tuple, classes):
-        if len(cls) != 1 or not _form_is_tree(cls[0]):
-            raise ValueError(f"{cls!r} is not a single tree class")
-        codes[cls] = _tree_code(*parse_form(cls[0]))
-    minimal, best = _minimal_codes(codes.values())
-    return frozenset(c for c, code in codes.items() if code in minimal), best
-
-
-def _minimal_codes(codes) -> tuple[frozenset[str], tuple[int, ...]]:
-    """The centre-rooted tree codes of lexicographically least profile, and
-    that profile; ``ValueError`` when there are none."""
-    profiled = {code: _code_profile(code) for code in codes}
-    if not profiled:
-        raise ValueError("no tree classes to reconstruct from")
-    best = min(profiled.values())
-    return frozenset(c for c, p in profiled.items() if p == best), best
-
-
-def _minimal_tree_classes(codes) -> tuple[frozenset[PClass], tuple[int, ...]]:
-    """``_minimal_codes`` with the minimal codes named by their class forms."""
-    minimal, best = _minimal_codes(codes)
-    return frozenset((_tree_form(code)[0],) for code in minimal), best
-
-
-@lru_cache(maxsize=1 << 12)
-def _code_profile(code: str) -> tuple[int, ...]:
-    """Minimum rooted degree sequence of the tree a centre-rooted code names.
-
-    Profiles are isomorphism-invariant, so the code-decoded tree serves.
-    Cached by code in a bounded ``lru_cache`` of 4096 entries, so each
-    distinct tree is profiled once per process."""
-    return min_degree_sequence(SimpleGraph.from_edges(code.count("("), _tree_from_code(code)))
 
 
 @dataclass(frozen=True)

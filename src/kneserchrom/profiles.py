@@ -97,9 +97,14 @@ def _minimum_rootings(g: SimpleGraph) -> tuple[RootedOrder, ...]:
     of the one-vertex tree.
     """
     _require_tree(g)
-    adj = g.adjacency()
-    deg = g.degrees()
-    rootings = [_rooted_order(adj, deg, v) for v in range(g.n) if deg[v] <= 1]
+    return _adjacency_rootings(g.adjacency())
+
+
+def _adjacency_rootings(adj: list[list[int]]) -> tuple[RootedOrder, ...]:
+    """``_minimum_rootings`` of a tree given by its adjacency lists, which
+    are trusted to describe a tree on at least one vertex."""
+    deg = [len(a) for a in adj]
+    rootings = [_rooted_order(adj, deg, v) for v in range(len(adj)) if deg[v] <= 1]
     best = min(ro.profile for ro in rootings)
     return tuple(ro for ro in rootings if ro.profile == best)
 

@@ -32,14 +32,9 @@ from .graphs import (
     induced_subgraph,
     is_tree,
 )
-from .kneser import (
-    AdmissibleWitness,
-    PClass,
-    PSeries,
-    _minimal_profile,
-    _tree_classes,
-)
+from .kneser import AdmissibleWitness, PClass, PSeries
 from .profiles import minimum_leaves
+from .trees import _minimal_profile, _tree_classes
 
 
 @dataclass(frozen=True)
@@ -62,10 +57,12 @@ class ReconstructionResult:
 def reconstruct_from_lambda_t(classes) -> ReconstructionResult:
     """Reconstruct a tree from its set of tree classes.
 
-    Among the given classes those of minimal symbol-tree profile are kept;
-    from the canonically smallest one, the label-smallest minimum leaf of
-    its canonical representative is deleted and the rest relabelled in
-    label order.
+    Among the given classes those of minimal symbol-tree profile are kept,
+    named by their canonical forms however they were spelled; from the
+    canonically smallest one, the label-smallest minimum leaf of its
+    canonical representative is deleted and the rest relabelled in label
+    order.  Classes on different symbol counts raise ``ValueError``, and a
+    class on more than ``VERTEX_CAP`` symbols ``CapExceededError``.
     """
     return _delete_minimum_leaf(_minimal_profile(classes)[0])
 

@@ -5,17 +5,27 @@ textbook recursions, sharing no code with the library under test except
 ``canonical_form`` and ``lambda_class``, which name isomorphism classes of
 graphs and of block multisets (``test_graphs`` checks them against the tree
 code and by relabelling).  Slow but obviously correct at the sizes the
-tests use.
+tests use.  The last section is the exception: test-only views of the
+series internals, which the package itself never needs.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations, product
 
-from kneserchrom import Lambda, SimpleGraph, canonical_form, lambda_class
+from kneserchrom import (
+    CapExceededError,
+    Lambda,
+    SimpleGraph,
+    canonical_form,
+    is_connected,
+    kneser,
+    lambda_class,
+)
 
 
 def brute_direct_eval(n, edges, k, m, values, prime):
@@ -252,3 +262,87 @@ def brute_merge_expansion(t_class, comp):
             beta += name(sub) == (comp,) and name(rest) == tuple(t_class)
         out[cand] = beta
     return out
+
+
+# ---------------------------------------------------------------------------
+# test-only views of the series internals
+# ---------------------------------------------------------------------------
+#
+# Unlike the oracles above, these read the package's own component tables
+# (``kneser._component_weights``, ``kneser._spanning_classes``): they expose
+# intermediate class sets that only the tests inspect.
+
+
+def enumerate_admissible_classes(g, k):
+    """All classes admissible by a connected graph, as one-component classes."""
+    kneser._check_k(k)
+    if g.n < 1:
+        raise ValueError("need at least one vertex")
+    if g.n > kneser.PSUM_VERTEX_CAP:
+        raise CapExceededError(
+            f"class enumeration capped at {kneser.PSUM_VERTEX_CAP} vertices (got {g.n})"
+        )
+    if not is_connected(g):
+        raise ValueError("class enumeration is defined for connected graphs")
+    return frozenset((c,) for c in kneser._component_weights(canonical_form(g), k))
+
+
+def admissible_for_subgraph(g, subset, k):
+    """Classes admissible by the spanning subgraph (V(G), subset).
+
+    The subgraph splits into components; each contributes its own class set
+    and the results combine as multiset unions (distinct symbol supports).
+    """
+    kneser._check_k(k)
+    subset = [tuple(sorted(e)) for e in subset]
+    for e in subset:
+        if e not in g.edges:
+            raise ValueError(f"edge {e} is not an edge of the graph")
+    if g.n > kneser.PSUM_VERTEX_CAP:
+        raise CapExceededError(
+            f"class enumeration capped at {kneser.PSUM_VERTEX_CAP} vertices (got {g.n})"
+        )
+    return frozenset(kneser._spanning_classes(SimpleGraph.from_edges(g.n, subset), k))
+
+
+def spanning_class_union(g, k):
+    """The plain union of ``admissible_for_subgraph`` over every spanning
+    subgraph of ``g``."""
+    edges = g.sorted_edges()
+    return frozenset().union(
+        *(
+            admissible_for_subgraph(g, subset, k)
+            for r in range(len(edges) + 1)
+            for subset in combinations(edges, r)
+        )
+    )
+
+
+@dataclass(frozen=True)
+class SupportReport:
+    """Signed support vs. plain union of admissible classes.
+
+    ``cancelled`` lists classes admissible by some spanning subgraph whose
+    signed coefficients sum to zero.  It is computed, not assumed empty:
+    already the k = 2 indicator series of K5 cancels some classes.
+    """
+
+    signed: frozenset
+    union: frozenset
+    cancelled: frozenset
+
+
+def lambda_support(g, k, *, coeffs="witness"):
+    """Support of the series alongside the union over all spanning subgraphs.
+
+    For k = 1 the union is the signed support: each nonzero partition product
+    has sign (-1)^(n - #blocks) and T(1, 0) >= 1 for a connected graph, so
+    nothing cancels."""
+    kneser._check_series_args(g, k, coeffs, "support computation")
+    if k == 1:
+        terms = union = kneser._psum_k1(g)
+    else:
+        terms = kneser._psum_subsets(g, k, coeffs == "witness")
+        union = spanning_class_union(g, k)
+    signed, union = frozenset(terms), frozenset(union)
+    return SupportReport(signed, union, union - signed)

@@ -22,7 +22,7 @@ from kneserchrom import (
     relabel,
     verify_trees,
 )
-from kneserchrom import catalog, generate, graphs, kneser
+from kneserchrom import catalog, generate, graphs, kneser, trees
 
 P4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -198,22 +198,15 @@ def test_verify_trees_refuses_witness_off_the_multiset(monkeypatch):
     assert report["summary"]["failures"] == report["summary"]["trees"] == 5
 
 
-def test_verify_trees_profiles_each_class_once(monkeypatch):
-    calls = 0
-    profile = kneser.min_degree_sequence
-
-    def counted(g):
-        nonlocal calls
-        calls += 1
-        return profile(g)
-
-    monkeypatch.setattr(kneser, "min_degree_sequence", counted)
-    for cache in (kneser._code_profile, kneser._centre_rooted, graphs._tree_form):
+def test_verify_trees_profiles_each_class_once():
+    for cache in (trees._code_profile, trees._centre_rooted, graphs._tree_form):
         cache.cache_clear()
     records = verify_trees(7)["records"]
-    # each distinct class form once, however many trees or rebuilds share it
+    # each distinct class once, however many trees or rebuilds share it: a
+    # class profiled twice would miss the code-keyed cache twice
+    profiled = trees._code_profile.cache_info().misses
     distinct = {cls for n in range(1, 8) for t in enumerate_trees(n) for cls in lambda_t(t)}
-    assert calls == len(distinct) < sum(r["lambda_t_size"] for r in records)
+    assert profiled == len(distinct) < sum(r["lambda_t_size"] for r in records)
     # the minimal-profile class of a tree is unique
     assert all(r["lambda_t_tilde_size"] == 1 for r in records)
 
@@ -225,8 +218,8 @@ def test_verify_trees_searches_each_distinct_tree_once(monkeypatch):
         graphs._canonical_form_cached,
         graphs._tree_form,
         generate.enumerate_trees,
-        kneser._centre_rooted,
-        kneser._code_profile,
+        trees._centre_rooted,
+        trees._code_profile,
     ):
         fn.cache_clear()
     searched = []
@@ -241,9 +234,9 @@ def test_verify_trees_searches_each_distinct_tree_once(monkeypatch):
     verify_trees(7)
     monkeypatch.undo()
     # the trees it names: the inputs and each one's minimal-profile class
-    trees = [t for n in range(1, 8) for t in enumerate_trees(n)]
-    named = {graphs.canonical_form(t) for t in trees}
-    named |= {cls[0] for t in trees for cls in lambda_t_tilde(t)[0]}
+    inputs = [t for n in range(1, 8) for t in enumerate_trees(n)]
+    named = {graphs.canonical_form(t) for t in inputs}
+    named |= {cls[0] for t in inputs for cls in lambda_t_tilde(t)[0]}
     assert len(searched) == len(set(searched)) == len(named) == 36
     assert set(searched) == named
 

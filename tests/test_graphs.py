@@ -33,8 +33,9 @@ from kneserchrom import (
     relabel,
     singleton_class_string,
 )
-from kneserchrom.graphs import _canonical_edge_list, _tree_code, _tree_from_code
+from kneserchrom.graphs import _canonical_edge_list, _tree_from_code
 from kneserchrom.kneser import _component_weights
+from kneserchrom.trees import _tree_code
 
 
 def test_simple_graph_construction():
@@ -68,6 +69,10 @@ def test_components_and_tree_predicates():
     # a doubled edge is never a tree even with the right edge count
     assert not is_tree(Multigraph.from_pairs(3, [(0, 1), (0, 1)]))
     assert is_tree(Multigraph.from_pairs(2, [(0, 1)]))
+    assert not is_tree(Multigraph.from_pairs(0, []))
+    assert is_tree(Multigraph.from_pairs(1, []))
+    assert not is_tree(Multigraph.from_pairs(4, [(0, 1), (0, 1), (2, 3)]))
+    assert not is_tree(Multigraph.from_pairs(5, [(0, 1), (1, 2), (0, 2), (3, 4)]))
 
 
 def test_canonical_form_examples():

@@ -15,12 +15,16 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    admissible_for_subgraph,
     all_block_bijections,
     brute_direct_eval,
     brute_merge_expansion,
     brute_orbit_sum,
     brute_tree_classes,
     chromatic_polynomial_value,
+    enumerate_admissible_classes,
+    lambda_support,
+    spanning_class_union,
 )
 
 import kneserchrom
@@ -34,7 +38,6 @@ from kneserchrom import (
     block_universe,
     canonical_form,
     direct_eval,
-    enumerate_admissible_classes,
     enumerate_graphs,
     enumerate_trees,
     graph_from_form,
@@ -42,7 +45,6 @@ from kneserchrom import (
     is_connected,
     kneser_psum,
     lambda_class,
-    lambda_support,
     lambda_t,
     lambda_t_tilde,
     parse_form,
@@ -62,8 +64,8 @@ from kneserchrom.kneser import (
     _orbit_sum,
     _psum_k1,
     _psum_subsets,
-    admissible_for_subgraph,
 )
+from kneserchrom.trees import _form_code
 
 K2 = SimpleGraph.from_edges(2, [(0, 1)])
 P3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
@@ -338,8 +340,8 @@ def test_k1_partition_route_equals_subset_route():
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             part = _psum_k1(g)
-            via_subsets_w, _ = _psum_subsets(g, 1, witness=True)
-            via_subsets_i, _ = _psum_subsets(g, 1, witness=False)
+            via_subsets_w = _psum_subsets(g, 1, witness=True)
+            via_subsets_i = _psum_subsets(g, 1, witness=False)
             assert part == via_subsets_w == via_subsets_i
 
 
@@ -583,8 +585,7 @@ def test_lambda_support_k1_never_cancels():
         for g in enumerate_graphs(n):
             report = lambda_support(g, 1)
             assert not report.cancelled
-            union = _psum_subsets(g, 1, False, collect_union=True)[1]
-            assert report.signed == report.union == union
+            assert report.signed == report.union == spanning_class_union(g, 1)
 
 
 def test_lambda_support_k2_indicator_cancellation_exists():
@@ -621,14 +622,12 @@ def test_lambda_t_counts_against_series_support():
     for n in range(2, 7):
         for t in enumerate_trees(n):
             series = kneser_psum(t, 2)
-            from kneserchrom.kneser import _form_is_tree
-
             via_series = {
                 cls
                 for cls in series.terms
                 if len(cls) == 1
                 and parse_form(cls[0])[0] == n + 1
-                and _form_is_tree(cls[0])
+                and _form_code(cls[0]) is not None
             }
             assert lambda_t(t) == via_series
 

@@ -1,8 +1,9 @@
 """The package namespace: ``__all__`` names every public export, no module
-of the package or the tests imports a name it never uses, no module-level
-cache of the package grows without bound, no package check is an
-``assert`` that ``python -O`` would strip, and every name the benchmark
-traces still exists."""
+of the package or the tests imports a name it never uses, only ``graphs``
+and ``trees`` decode or slice a tree code, no module-level cache of the
+package grows without bound, no package check is an ``assert`` that
+``python -O`` would strip, and every name the benchmark traces still
+exists."""
 
 from __future__ import annotations
 
@@ -28,6 +29,30 @@ def test_all_matches_public_names():
     # test-only helpers live in tests/oracles.py, not in the package
     for name in ("prufer_tree",):
         assert not hasattr(kneserchrom, name) and not hasattr(kneserchrom.generate, name)
+    for name in (
+        "lambda_support",
+        "SupportReport",
+        "admissible_for_subgraph",
+        "enumerate_admissible_classes",
+    ):
+        assert not hasattr(kneserchrom, name) and not hasattr(kneserchrom.kneser, name)
+
+
+#: helpers that decode or slice a tree code, and the modules that may call them
+CODE_HELPERS = {"_tree_from_code", "_centre_code", "_code_children"}
+CODE_MODULES = {"graphs.py", "trees.py"}
+
+
+def test_tree_code_helpers_stay_in_graphs_and_trees():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in CODE_HELPERS:
+                    callers.add(path.name)
+    assert callers and callers <= CODE_MODULES
 
 
 def unused_imports(path: Path) -> list[str]:

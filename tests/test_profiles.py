@@ -12,8 +12,10 @@ from kneserchrom import (
     min_degree_sequence,
     min_rooted_degree_sequence,
     minimum_leaves,
+    relabel,
     rooted_order,
 )
+from kneserchrom.trees import _code_profile, _tree_code
 
 
 def test_single_vertex():
@@ -88,3 +90,12 @@ def test_min_profile_is_attained_and_minimal():
             assert all(per_root[v] > prof for v in range(n) if v not in leaves)
             # a minimum opener is always a leaf of minimum degree
             assert all(t.degrees()[v] == 1 for v in leaves)
+
+
+def test_code_profile_equals_min_degree_sequence():
+    # the profile read off a code's adjacency lists against the graph route,
+    # in the enumerated labelling and in its reverse
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            for h in (t, relabel(t, list(range(n))[::-1])):
+                assert _code_profile(_tree_code(n, h.edges)) == min_degree_sequence(h)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
 from kneserchrom import (
+    CapExceededError,
     Lambda,
     SimpleGraph,
     are_isomorphic,
@@ -14,6 +18,7 @@ from kneserchrom import (
     is_admissible,
     kneser_psum,
     lambda_t,
+    parse_form,
     position_tree,
     reconstruct_from_invariant,
     reconstruct_from_lambda_t,
@@ -68,6 +73,41 @@ def test_reconstruction_is_deterministic_and_label_invariant():
     shuffled = relabel(t, [3, 0, 5, 1, 4, 2])
     other = reconstruct_from_lambda_t(lambda_t(shuffled))
     assert other.to_json_dict() == first.to_json_dict()
+
+
+def respelled(cls, rng):
+    """A tree class spelled by a random relabelling of its symbols, its
+    pairs in random order."""
+    w, pairs = parse_form(cls[0])
+    perm = list(range(w))
+    rng.shuffle(perm)
+    blocks = [[perm[a], perm[b]][:: rng.choice((1, -1))] for a, b in pairs]
+    rng.shuffle(blocks)
+    return (f"{w}:" + json.dumps(blocks, separators=(",", ":")),)
+
+
+def test_reconstruction_ignores_class_spelling():
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for t in enumerate_trees(n):
+            classes = lambda_t(t)
+            expected = reconstruct_from_lambda_t(classes).to_json_dict()
+            other = [respelled(cls, rng) for cls in classes]
+            assert reconstruct_from_lambda_t(other).to_json_dict() == expected
+
+
+def test_reconstruction_refuses_mixed_symbol_counts():
+    p4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="different symbol counts"):
+        reconstruct_from_lambda_t(lambda_t(P3) | lambda_t(p4))
+
+
+def test_reconstruction_refuses_classes_above_vertex_cap():
+    # canonical_form cannot name a class on 15 symbols, so it is refused
+    # before its code is built
+    path15 = "15:" + json.dumps([[i, i + 1] for i in range(14)], separators=(",", ":"))
+    with pytest.raises(CapExceededError):
+        reconstruct_from_lambda_t([(path15,)])
 
 
 def test_reconstruction_output_is_canonical():
