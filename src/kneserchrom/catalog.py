@@ -18,17 +18,10 @@ from pathlib import Path
 
 from .generate import enumerate_graphs, enumerate_trees
 from .graph6 import parse_graph6, write_graph6
-from .graphs import (
-    CapExceededError,
-    SimpleGraph,
-    are_isomorphic,
-    canonical_form,
-    graph_from_form,
-)
+from .graphs import SimpleGraph, canonical_form, graph_from_form
 from .kneser import (
-    PSUM_SUBSET_CAP,
-    PSUM_VERTEX_CAP,
     PSeries,
+    _check_series_args,
     augment_tree_lambda,
     is_admissible,
     kneser_psum,
@@ -37,7 +30,7 @@ from .kneser import (
     true_basis,
 )
 from .reconstruct import _delete_minimum_leaf, verify_tau_isomorphism
-from .trees import LAMBDA_T_CAP, _lambda_t_codes, _minimal_tree_classes
+from .trees import _check_tree_cap, _lambda_t_codes, _minimal_tree_classes
 
 #: seed used by fingerprints and collision search when none is given
 DEFAULT_SEED = 1729
@@ -152,7 +145,9 @@ class SeriesCache:
 def cached_psum(
     g: SimpleGraph, k: int, coeffs: str = "witness", cache: SeriesCache | None = None
 ) -> PSeries:
-    """``kneser_psum`` with an optional persistent cache in front."""
+    """``kneser_psum`` with an optional persistent cache in front; the series
+    caps are checked before the cache is read."""
+    _check_series_args(g.n, len(g.edges), k, coeffs, "power-sum expansion")
     if cache is not None:
         hit = cache.get(g, k, coeffs)
         if hit is not None:
@@ -182,8 +177,7 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if n_max > LAMBDA_T_CAP:
-        raise CapExceededError(f"tree verification capped at {LAMBDA_T_CAP} vertices (got {n_max})")
+    _check_tree_cap(n_max, "tree verification")
     records: list[dict] = []
     class_sets: dict[frozenset, str] = {}
     duplicate_pairs: list[tuple[str, str]] = []
@@ -194,16 +188,17 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
             g6 = canonical_graph6(tree)
             codes = _lambda_t_codes(tree)
             tilde, profile = _minimal_tree_classes(codes)
-            result = _delete_minimum_leaf(tilde)
-            ok = are_isomorphic(result.graph, tree)
+            reconstructed = canonical_graph6(_delete_minimum_leaf(tilde).graph)
+            # canonical graph6 strings are equal exactly for isomorphic trees
+            ok = reconstructed == g6
             record = {
                 "n": n,
                 "graph6": g6,
                 "lambda_t_size": len(codes),
                 "lambda_t_tilde_size": len(tilde),
                 "min_profile": list(profile),
-                "reconstructed": canonical_graph6(result.graph),
-                "pass": bool(ok),
+                "reconstructed": reconstructed,
+                "pass": ok,
             }
             if witness:
                 aug = augment_tree_lambda(tree)
@@ -262,12 +257,8 @@ def collide_search(
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if n_max > PSUM_VERTEX_CAP:
-        raise CapExceededError(
-            f"collision search capped at {PSUM_VERTEX_CAP} vertices (got {n_max})"
-        )
-    if k == 2 and 1 << (n_max * (n_max - 1) // 2) > PSUM_SUBSET_CAP:
-        raise CapExceededError(f"collision search capped at {PSUM_SUBSET_CAP} spanning subgraphs")
+    # K_{n_max} has the most vertices and edges of any graph searched
+    _check_series_args(n_max, n_max * (n_max - 1) // 2, k, "witness", "collision search")
     collisions: list[dict] = []
     fp_collisions: list[dict] = []
     graphs_seen = 0

@@ -74,7 +74,6 @@ from .graphs import (
     graph_from_form,
     induced_subgraph,
     is_connected,
-    is_tree,
     parse_form,
     singleton_class_string,
 )
@@ -297,17 +296,18 @@ def _check_coeffs(coeffs: str) -> None:
         raise ValueError(f"unknown coefficient normalisation {coeffs!r}")
 
 
-def _check_series_args(g: SimpleGraph, k: int, coeffs: str, what: str) -> None:
-    """Check k and ``coeffs``, then refuse an empty graph, one above
-    ``PSUM_VERTEX_CAP`` vertices, and for k = 2 one with more than
-    ``PSUM_SUBSET_CAP`` spanning subgraphs."""
+def _check_series_args(n: int, edge_count: int, k: int, coeffs: str, what: str) -> None:
+    """Check k and ``coeffs``, then refuse a series of a graph on n vertices
+    with ``edge_count`` edges: n < 1, n above ``PSUM_VERTEX_CAP``, or for
+    k = 2 more than ``PSUM_SUBSET_CAP`` spanning subgraphs.  The vertex cap
+    comes first, so a huge n never forms ``1 << edge_count``."""
     _check_k(k)
     _check_coeffs(coeffs)
-    if g.n < 1:
+    if n < 1:
         raise ValueError("need at least one vertex")
-    if g.n > PSUM_VERTEX_CAP:
-        raise CapExceededError(f"{what} capped at {PSUM_VERTEX_CAP} vertices (got {g.n})")
-    if k == 2 and 1 << len(g.edges) > PSUM_SUBSET_CAP:
+    if n > PSUM_VERTEX_CAP:
+        raise CapExceededError(f"{what} capped at {PSUM_VERTEX_CAP} vertices (got {n})")
+    if k == 2 and 1 << edge_count > PSUM_SUBSET_CAP:
         raise CapExceededError(f"{what} capped at {PSUM_SUBSET_CAP} spanning subgraphs")
 
 
@@ -388,6 +388,9 @@ class PSeries:
         terms: dict[PClass, int] = {}
         for cls, coeff in entries:
             valid = all(isinstance(c, str) and _is_component_string(c, k) for c in cls)
+            # a class on n vertices has n blocks, and a valid component
+            # string opens one bracket per block and one for its block list
+            valid = valid and sum(c.count("[") - 1 for c in cls) == n
             if not (valid and cls == tuple(sorted(cls))):
                 raise ValueError(
                     f"malformed series payload: bad, non-canonical or unsorted class {cls!r}"
@@ -501,7 +504,7 @@ def kneser_psum(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> PSeries:
     once per spanning subgraph.  Capped at ``PSUM_VERTEX_CAP`` vertices and,
     for k = 2, at ``PSUM_SUBSET_CAP`` spanning subgraphs.
     """
-    _check_series_args(g, k, coeffs, "power-sum expansion")
+    _check_series_args(g.n, len(g.edges), k, coeffs, "power-sum expansion")
     return PSeries(g.n, k, coeffs, dict(_psum_terms(canonical_form(g), k, coeffs)))
 
 
@@ -801,9 +804,10 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     _check_k(k)
     if k == 1:
         return frozenset()
-    if not is_tree(g):
+    codes = _lambda_t_codes(g)
+    if codes is None:
         return _tree_classes(kneser_psum(g, 2))
-    return frozenset((_tree_form(code)[0],) for code in _lambda_t_codes(g))
+    return frozenset((_tree_form(code)[0],) for code in codes)
 
 
 def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
@@ -814,9 +818,10 @@ def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
     ones reconstruction deletes a leaf from.  A tree's classes are
     profiled by their codes, and only the minimal ones are canonicalised.
     """
-    if is_tree(g):
-        return _minimal_tree_classes(_lambda_t_codes(g))
-    classes = lambda_t(g, 2)
+    codes = _lambda_t_codes(g)
+    if codes is not None:
+        return _minimal_tree_classes(codes)
+    classes = _tree_classes(kneser_psum(g, 2))
     if not classes:
         raise ValueError("graph has no tree classes in its support")
     return _minimal_profile(classes)

@@ -32,6 +32,12 @@ LAMBDA_T_CAP = 9
 TreeClasses = frozenset[tuple[str, ...]]
 
 
+def _check_tree_cap(n: int, what: str) -> None:
+    """Refuse ``what`` on trees with n vertices above ``LAMBDA_T_CAP``."""
+    if n > LAMBDA_T_CAP:
+        raise CapExceededError(f"{what} capped at {LAMBDA_T_CAP} vertices (got {n})")
+
+
 def _tree_code(n: int, edges) -> str:
     """The centre-rooted code (``graphs._centre_code``) of the tree with
     these edges on n >= 1 vertices.  Raises ``ValueError`` unless the
@@ -93,8 +99,9 @@ def _tree_classes(series) -> TreeClasses:
     )
 
 
-def _lambda_t_codes(g: SimpleGraph) -> frozenset[str]:
-    """Centre-rooted AHU codes of the tree classes of a tree G.
+def _lambda_t_codes(g: SimpleGraph) -> frozenset[str] | None:
+    """Centre-rooted AHU codes of the tree classes of a tree G, or None
+    when G is not a tree.
 
     Only the full edge set of a tree can contribute a connected class, so
     the tree classes are the admissible ones.  Root G anywhere and give the
@@ -113,16 +120,13 @@ def _lambda_t_codes(g: SimpleGraph) -> frozenset[str]:
     need only 24 rooted shapes.  The root's pairs, the largest sets, are
     computed uncached.  Each root pair names the symbol tree rooted at the
     edge {0, 1}; ``_centre_rooted`` re-roots it at its centre, so one code
-    names one class.  Raises ``ValueError`` unless G is a tree, and
-    ``CapExceededError`` above ``LAMBDA_T_CAP``.
+    names one class.  Raises ``CapExceededError`` for a tree above
+    ``LAMBDA_T_CAP`` vertices.
     """
     adj = _tree_adjacency(g.n, g.edges)
     if adj is None:
-        raise ValueError("tree classes are read off trees only")
-    if g.n > LAMBDA_T_CAP:
-        raise CapExceededError(
-            f"tree-class extraction capped at {LAMBDA_T_CAP} vertices (got {g.n})"
-        )
+        return None
+    _check_tree_cap(g.n, "tree-class extraction")
     codes = set()
     for a, b in _side_pairs(_code_children(_centre_code(adj))):
         # the lesser side roots the code, so a pair and its mirror agree
@@ -188,20 +192,15 @@ def _code_profile(code: str) -> tuple[int, ...]:
     return _adjacency_rootings(_code_adjacency(code))[0].profile
 
 
-def _minimal_codes(codes) -> tuple[frozenset[str], tuple[int, ...]]:
-    """The centre-rooted tree codes of lexicographically least profile, and
-    that profile; ``ValueError`` when there are none."""
+def _minimal_tree_classes(codes) -> tuple[TreeClasses, tuple[int, ...]]:
+    """The classes of the centre-rooted tree codes of lexicographically
+    least profile, named by their class forms, and that profile;
+    ``ValueError`` when there are none."""
     profiled = {code: _code_profile(code) for code in codes}
     if not profiled:
         raise ValueError("no tree classes to reconstruct from")
     best = min(profiled.values())
-    return frozenset(c for c, p in profiled.items() if p == best), best
-
-
-def _minimal_tree_classes(codes) -> tuple[TreeClasses, tuple[int, ...]]:
-    """``_minimal_codes`` with the minimal codes named by their class forms."""
-    minimal, best = _minimal_codes(codes)
-    return frozenset((_tree_form(code)[0],) for code in minimal), best
+    return frozenset((_tree_form(c)[0],) for c, p in profiled.items() if p == best), best
 
 
 def _minimal_profile(classes) -> tuple[TreeClasses, tuple[int, ...]]:

@@ -338,7 +338,7 @@ def lambda_support(g, k, *, coeffs="witness"):
     For k = 1 the union is the signed support: each nonzero partition product
     has sign (-1)^(n - #blocks) and T(1, 0) >= 1 for a connected graph, so
     nothing cancels."""
-    kneser._check_series_args(g, k, coeffs, "support computation")
+    kneser._check_series_args(g.n, len(g.edges), k, coeffs, "support computation")
     if k == 1:
         terms = union = kneser._psum_k1(g)
     else:

@@ -256,6 +256,47 @@ def test_verify_trees_refuses_above_lambda_t_cap_before_any_tree(monkeypatch):
         verify_trees(LAMBDA_T_CAP + 1)
 
 
+def test_verify_trees_reports_shared_class_sets(capsys, monkeypatch):
+    from kneserchrom.cli import main
+
+    # every tree gets P4's tree classes, so every later tree clashes with the first
+    codes = trees._lambda_t_codes(P4)
+    monkeypatch.setattr(catalog, "_lambda_t_codes", lambda tree: codes)
+    summary = verify_trees(4)["summary"]
+    assert summary["injective"] is False
+    assert len(summary["duplicate_class_sets"]) == summary["trees"] - 1 > 0
+    assert summary["all_pass"] is False
+    assert main(["verify", "--nmax", "4"]) == 4
+    assert "injective=NO all=FAIL" in capsys.readouterr().out
+
+
+def test_lambda_t_cap_has_one_owner(monkeypatch):
+    from kneserchrom import CapExceededError
+
+    # raising or lowering trees.LAMBDA_T_CAP alone moves both refusals
+    monkeypatch.setattr(trees, "LAMBDA_T_CAP", 3)
+    with pytest.raises(CapExceededError) as exc:
+        verify_trees(4)
+    assert str(exc.value) == "tree verification capped at 3 vertices (got 4)"
+    with pytest.raises(CapExceededError) as exc:
+        lambda_t(P4)
+    assert str(exc.value) == "tree-class extraction capped at 3 vertices (got 4)"
+
+
+def test_cached_psum_refuses_before_reading_the_cache(tmp_path, monkeypatch):
+    from kneserchrom import CapExceededError
+
+    def refuse(*args):
+        raise AssertionError("the cache was read before the cap check")
+
+    # canonicalising the Petersen graph, as a cache lookup would, takes tens of seconds
+    monkeypatch.setattr(SeriesCache, "get", refuse)
+    path = tmp_path / "series.jsonl"
+    with pytest.raises(CapExceededError, match=r"capped at 7 vertices \(got 10\)"):
+        cached_psum(parse_graph6("IheA@GUAo"), 2, cache=SeriesCache(path))
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # collision search
 # ---------------------------------------------------------------------------

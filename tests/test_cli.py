@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import kneserchrom
-from kneserchrom import SimpleGraph, kneser_psum, write_graph6
+from kneserchrom import SimpleGraph, collide_search, kneser_psum, write_graph6
 from kneserchrom.cli import main
 
 P4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -162,6 +162,14 @@ def test_collide_small(capsys):
     assert "collisions: 0  fingerprint clashes: 0" in out
 
 
+def test_collide_k1_reports_the_classical_pair(capsys):
+    code, out, _ = run_cli(capsys, "collide", "--nmax", "5", "--k", "1")
+    assert code == 0
+    assert "collision: n=5 D`{ == DR[" in out.splitlines()
+    code, out, _ = run_cli(capsys, "collide", "--nmax", "5", "--k", "1", "--json")
+    assert code == 0 and json.loads(out) == collide_search(5, 1)
+
+
 def test_collide_rejects_nmax_above_cap_before_any_series(capsys, monkeypatch):
     from kneserchrom import catalog
 
@@ -244,6 +252,8 @@ PATH21 = "21:" + json.dumps([[i, i + 1] for i in range(20)], separators=(",", ":
         {"n": 2, "k": 1, "terms": [{"class": ["999999999:[[0]]"], "coeff": 1}]},
         {"n": 12, "k": 2, "terms": [{"class": [CYCLE12], "coeff": 1}]},
         {"n": 20, "k": 2, "terms": [{"class": [PATH21], "coeff": 1}]},
+        # a class of a series on n vertices has n blocks, not 1
+        {"n": 2, "k": 2, "terms": [{"class": ["2:[[0,1]]"], "coeff": 1}]},
     ],
 )
 def test_exit_code_reconstruct_malformed_terms(capsys, monkeypatch, payload):

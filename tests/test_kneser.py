@@ -680,6 +680,16 @@ def test_lambda_t_of_a_cycle():
     assert degs == {(1, 1, 2, 2, 2), (1, 1, 1, 2, 3), (1, 1, 1, 1, 4)}
 
 
+def test_lambda_t_tilde_of_non_trees():
+    # a non-tree's tree classes are read off its series: the 4-cycle's
+    # least profile is the path's, and 2K2 has no tree class at all
+    c4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    path = frozenset({("5:[[0,2],[1,3],[2,4],[3,4]]",)})
+    assert lambda_t_tilde(c4) == (path, (1, 2, 2, 2, 1))
+    with pytest.raises(ValueError, match="no tree classes"):
+        lambda_t_tilde(SimpleGraph.from_edges(4, [(0, 1), (2, 3)]))
+
+
 def test_augment_tree_lambda_small():
     aug = augment_tree_lambda(P3)
     assert aug.lam.blocks == ((0, 1), (1, 2), (2, 3))

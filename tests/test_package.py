@@ -1,9 +1,9 @@
 """The package namespace: ``__all__`` names every public export, no module
 of the package or the tests imports a name it never uses, only ``graphs``
-and ``trees`` decode or slice a tree code, no module-level cache of the
-package grows without bound, no package check is an ``assert`` that
-``python -O`` would strip, and every name the benchmark traces still
-exists."""
+and ``trees`` decode or slice a tree code, ``catalog`` and ``cli`` hold no
+size cap of their own, no module-level cache of the package grows without
+bound, no package check is an ``assert`` that ``python -O`` would strip,
+and every name the benchmark traces still exists."""
 
 from __future__ import annotations
 
@@ -53,6 +53,30 @@ def test_tree_code_helpers_stay_in_graphs_and_trees():
                 if name in CODE_HELPERS:
                     callers.add(path.name)
     assert callers and callers <= CODE_MODULES
+
+
+#: modules that refuse oversized input only through the owning module's checks
+DRIVER_MODULES = ("catalog.py", "cli.py")
+
+
+def test_drivers_hold_no_cap_of_their_own():
+    # a driver that raises CapExceededError or imports a *_CAP constant
+    # re-derives a cap that kneser.py or trees.py already checks
+    found = []
+    for name in DRIVER_MODULES:
+        path = PACKAGE / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "CapExceededError":
+                    found.append(f"{name}:{node.lineno} raises CapExceededError")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.endswith("_CAP")
+                ]
+    assert found == []
 
 
 def unused_imports(path: Path) -> list[str]:

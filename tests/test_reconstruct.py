@@ -147,6 +147,16 @@ def test_tau_isomorphism_rejects_wrong_witness():
     assert not verify_tau_isomorphism(P3, lam, bad)
 
 
+def test_tau_isomorphism_rejects_repeated_position():
+    from kneserchrom.kneser import AdmissibleWitness
+
+    lam = Lambda.from_blocks(2, [(0, 1), (1, 2), (2, 3)])
+    # tau = {0: 2, 1: 3, 2: 2} carries both path edges onto the position
+    # edge {2, 3}, but position 2 is claimed twice and position 1 never
+    repeated = AdmissibleWitness(((0, (1, 2)), (1, (2, 3)), (2, (1, 2))))
+    assert not verify_tau_isomorphism(P3, lam, repeated)
+
+
 def test_source_class_matches_min_profile():
     # the reconstruction chooses a class attaining the minimal profile
     from kneserchrom import lambda_t_tilde
