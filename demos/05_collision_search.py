@@ -2,7 +2,9 @@
 
 Two non-isomorphic graphs can share their k = 1 invariant — the classical
 counterexample pair on five vertices appears below.  The k = 2 invariant
-separates every pair of graphs with up to five vertices.
+separates every pair of graphs with up to five vertices, which the test
+suite checks; a recorded run of ``kneserchrom collide --nmax 6 --k 2``
+extends this to all 208 graphs with up to six vertices.
 
 Deciding equality takes care.  Random evaluations on up to six symbols are
 a sound prefilter (equal invariants evaluate equally), but two invariants

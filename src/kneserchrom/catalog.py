@@ -107,10 +107,15 @@ class SeriesCache:
                         raise ValueError(
                             f"{self.path}:{lineno}: cache line is not valid JSON: {exc}"
                         ) from exc
-                    if data.get("version") != CACHE_VERSION:
-                        continue
                     try:
-                        key = (data["graph6"], int(data["k"]), data["coeffs"])
+                        if not isinstance(data, dict):
+                            raise TypeError("a record must be a JSON object")
+                        if data.get("version") != CACHE_VERSION:
+                            continue
+                        key = (data["graph6"], data["k"], data["coeffs"])
+                        # int() would truncate 2.9 or read "2"; bool is a subclass of int
+                        if type(key[0]) is not str or type(key[1]) is not int:
+                            raise TypeError("graph6 must be a string and k an integer")
                         series = PSeries.from_json_dict(data["series"])
                         n = parse_graph6(key[0]).n
                         if (n, *key[1:]) != (series.n, series.k, series.coeffs):

@@ -4,12 +4,12 @@
 n vertices arises from a tree on n-1 vertices by attaching a leaf, so
 attaching a leaf at every vertex of every (n-1)-vertex representative and
 deduplicating is exhaustive.  The grown trees are deduplicated by their
-centre-rooted AHU code (``trees._tree_code``; ``trees.py`` holds the
-algorithms on codes), and each distinct code is canonicalised through the
-code-keyed ``graphs._tree_form``, so each distinct tree costs one canonical
-search.  Representatives are materialised from their canonical forms, which
-makes the output order (and the labelling of each representative)
-deterministic.
+centre-rooted AHU code, built by ``graphs._tree_code`` (the one code
+builder; ``graphs._code_adjacency`` is the one decoder), and each distinct
+code is canonicalised through the code-keyed ``graphs._tree_form``, so each
+distinct tree costs one canonical search.  Representatives are materialised
+from their canonical forms, which makes the output order (and the labelling
+of each representative) deterministic.
 
 ``enumerate_graphs`` does the same by edge count: every graph with m+1
 edges is a graph with m edges plus one edge.
@@ -23,11 +23,11 @@ from .graphs import (
     CapExceededError,
     SimpleGraph,
     VERTEX_CAP,
+    _tree_code,
     _tree_form,
     canonical_form,
     graph_from_form,
 )
-from .trees import _tree_code
 
 #: unlabelled free trees on 1..12 vertices (OEIS A000055)
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)

@@ -19,10 +19,10 @@ isomorphism-invariant, so equal strings still hold exactly for isomorphic
 inputs and the search stays tractable on the small, mostly rigid graphs
 this package works with.  The same search counts automorphisms
 (``automorphism_count``).  Trees are looked up by their centre-rooted AHU
-code (``_centre_code``) first, so each distinct tree is searched once;
-this module keeps only what that lookup needs, and every other algorithm
-on tree codes lives in ``trees.py``.  A hard vertex cap keeps accidental
-huge inputs from hanging the process.
+code first, so each distinct tree is searched once.  This module holds the
+one code builder (``_tree_code``) and the one decoder (``_code_adjacency``);
+every other algorithm on tree codes lives in ``trees.py``.  A hard vertex
+cap keeps accidental huge inputs from hanging the process.
 """
 
 from __future__ import annotations
@@ -366,9 +366,9 @@ def _canonical_form_cached(n: int, weighted_edges: tuple) -> tuple[str, int]:
     labelled.  The bound of 16384 entries sits far above the few hundred
     that tree verification or a collision search to n = 5 holds."""
     if len(weighted_edges) == n - 1 and all(mult == 1 for _, mult in weighted_edges):
-        adj = _tree_adjacency(n, [pair for pair, _ in weighted_edges])
-        if adj is not None:
-            return _tree_form(_centre_code(adj))
+        code = _tree_code(n, [pair for pair, _ in weighted_edges])
+        if code is not None:
+            return _tree_form(code)
     return _search_form(n, weighted_edges)
 
 
@@ -383,8 +383,9 @@ def _tree_form(code: str) -> tuple[str, int]:
     names, from one search on the code-decoded labelling.  Both are
     labelling-invariant, so they equal what any labelling of the tree gives.
     Bounded at 16384 entries, one per distinct tree."""
-    n = code.count("(")
-    return _search_form(n, tuple((pair, 1) for pair in _tree_from_code(code)))
+    adj = _code_adjacency(code)
+    edges = tuple(((u, v), 1) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
+    return _search_form(len(adj), edges)
 
 
 def canonical_form(g: SimpleGraph | Multigraph) -> str:
@@ -491,21 +492,28 @@ def _centre_code(adj: list[list[int]]) -> str:
     return min(code(c, -1) for c in layer)
 
 
-def _tree_from_code(code: str) -> list[tuple[int, int]]:
-    """Edges of the tree an AHU code names, its vertices numbered in
-    preorder from the root 0."""
-    edges: list[tuple[int, int]] = []
+def _tree_code(n: int, edges) -> str | None:
+    """The centre-rooted code of the graph with these edges on 0..n-1, or
+    None unless it is a tree."""
+    adj = _tree_adjacency(n, edges)
+    return None if adj is None else _centre_code(adj)
+
+
+def _code_adjacency(code: str) -> list[list[int]]:
+    """Adjacency lists of the tree an AHU code names, its vertices
+    numbered in preorder from the root 0."""
+    adj: list[list[int]] = []
     stack: list[int] = []
-    n = 0
     for ch in code:
         if ch == "(":
+            v = len(adj)
+            adj.append(stack[-1:])  # v's parent, unless v is the root
             if stack:
-                edges.append((stack[-1], n))
-            stack.append(n)
-            n += 1
+                adj[stack[-1]].append(v)
+            stack.append(v)
         else:
             stack.pop()
-    return edges
+    return adj
 
 
 def relabel(g: SimpleGraph, perm: dict[int, int] | list[int]) -> SimpleGraph:

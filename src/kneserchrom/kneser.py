@@ -78,7 +78,7 @@ from .graphs import (
     singleton_class_string,
 )
 from .profiles import _minimum_rootings
-from .trees import _lambda_t_codes, _minimal_profile, _minimal_tree_classes, _tree_classes
+from .trees import _lambda_t_codes, _minimal_tree_classes, _series_tree_codes
 
 #: full subset expansions are enumerated only up to this many vertices
 PSUM_VERTEX_CAP = 7
@@ -795,18 +795,18 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     """Tree classes of the support: classes whose symbol graph is a tree
     on n+1 symbols.
 
-    For k = 1 no class can span n+1 symbols, so the set is empty.  For
-    other graphs the full series is computed and filtered.  For a tree G
-    the classes are read off G directly by ``trees._lambda_t_codes`` and
-    each distinct class tree is canonicalised once, through the code-keyed
-    ``graphs._tree_form``.
+    For k = 1 no class can span n+1 symbols, so the set is empty.  For a
+    tree G the classes are read off G directly by ``trees._lambda_t_codes``;
+    for other graphs the full series is computed and filtered.  Either route
+    names the classes by their codes, and each distinct class tree is
+    canonicalised once, through the code-keyed ``graphs._tree_form``.
     """
     _check_k(k)
     if k == 1:
         return frozenset()
     codes = _lambda_t_codes(g)
     if codes is None:
-        return _tree_classes(kneser_psum(g, 2))
+        codes = _series_tree_codes(kneser_psum(g, 2))
     return frozenset((_tree_form(code)[0],) for code in codes)
 
 
@@ -815,16 +815,15 @@ def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
 
     Each tree class is profiled by the minimum rooted degree sequence of its
     symbol tree; the classes attaining the lexicographic minimum are the
-    ones reconstruction deletes a leaf from.  A tree's classes are
-    profiled by their codes, and only the minimal ones are canonicalised.
+    ones reconstruction deletes a leaf from.  The classes are profiled by
+    their codes, and only the minimal ones are canonicalised.
     """
     codes = _lambda_t_codes(g)
-    if codes is not None:
-        return _minimal_tree_classes(codes)
-    classes = _tree_classes(kneser_psum(g, 2))
-    if not classes:
+    if codes is None:
+        codes = _series_tree_codes(kneser_psum(g, 2))
+    if not codes:
         raise ValueError("graph has no tree classes in its support")
-    return _minimal_profile(classes)
+    return _minimal_tree_classes(codes)
 
 
 @dataclass(frozen=True)

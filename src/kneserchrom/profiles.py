@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import SimpleGraph, is_tree
+from .graphs import SimpleGraph, _tree_adjacency
 
 DegreeProfile = tuple[int, ...]
 
@@ -44,21 +44,18 @@ class RootedOrder:
     profile: DegreeProfile
 
 
-def _require_tree(g: SimpleGraph) -> None:
-    if not is_tree(g):
-        raise ValueError("operation defined for trees only")
-
-
 def rooted_order(g: SimpleGraph, root: int) -> RootedOrder:
     """The minimum rooted vertex sequence at ``root``.
 
     BFS layers from the root, each layer sorted by ascending degree with
     ties broken by vertex label.
     """
-    _require_tree(g)
+    adj = _tree_adjacency(g.n, g.edges)
+    if adj is None:
+        raise ValueError("operation defined for trees only")
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range")
-    return _rooted_order(g.adjacency(), g.degrees(), root)
+    return _rooted_order(adj, [len(a) for a in adj], root)
 
 
 def _rooted_order(adj: list[list[int]], deg: list[int], root: int) -> RootedOrder:
@@ -96,8 +93,10 @@ def _minimum_rootings(g: SimpleGraph) -> tuple[RootedOrder, ...]:
     vertices of degree at most 1 are tried: the leaves, or the sole vertex
     of the one-vertex tree.
     """
-    _require_tree(g)
-    return _adjacency_rootings(g.adjacency())
+    adj = _tree_adjacency(g.n, g.edges)
+    if adj is None:
+        raise ValueError("operation defined for trees only")
+    return _adjacency_rootings(adj)
 
 
 def _adjacency_rootings(adj: list[list[int]]) -> tuple[RootedOrder, ...]:

@@ -34,7 +34,7 @@ from .graphs import (
 )
 from .kneser import AdmissibleWitness, PClass, PSeries
 from .profiles import minimum_leaves
-from .trees import _minimal_profile, _tree_classes
+from .trees import _minimal_profile, _minimal_tree_classes, _series_tree_codes
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,10 @@ def reconstruct_from_invariant(series: PSeries) -> ReconstructionResult:
     """
     if series.k != 2:
         raise ValueError("tree reconstruction requires a k = 2 series")
-    tree_classes = _tree_classes(series)
-    if not tree_classes:
+    codes = _series_tree_codes(series)
+    if not codes:
         raise ValueError("series has no tree classes in its support")
-    return reconstruct_from_lambda_t(tree_classes)
+    return _delete_minimum_leaf(_minimal_tree_classes(codes)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Algorithms on centre-rooted AHU tree codes.
 
 A tree is named up to isomorphism by its AHU code (Aho, Hopcroft and
-Ullman) rooted at its centre, a parenthesis string built in linear time by
-``graphs._centre_code``.  This module reads and builds such codes: the tree
-classes of a tree (λ_T) by a dynamic programme over its code, their
-minimum rooted degree profiles read off the code's adjacency lists, and the
-minimal-profile classes that reconstruction deletes a leaf from.  A code
-reaches the canonical search only through ``graphs._tree_form``, once per
-distinct tree.
+Ullman) rooted at its centre, built in linear time by ``graphs._tree_code``
+and decoded by ``graphs._code_adjacency``.  This module reads and builds
+such codes: the tree classes of a tree (λ_T) by a dynamic programme over
+its code or of any graph from its series, their minimum rooted degree
+profiles read off the code's adjacency lists, and the minimal-profile
+classes that reconstruction deletes a leaf from.  A code reaches the
+canonical search only through ``graphs._tree_form``, once per distinct tree.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .graphs import (
     CapExceededError,
     SimpleGraph,
     _centre_code,
-    _tree_adjacency,
+    _code_adjacency,
+    _tree_code,
     _tree_form,
-    _tree_from_code,
     parse_form,
 )
 from .profiles import _adjacency_rootings
@@ -38,16 +38,6 @@ def _check_tree_cap(n: int, what: str) -> None:
         raise CapExceededError(f"{what} capped at {LAMBDA_T_CAP} vertices (got {n})")
 
 
-def _tree_code(n: int, edges) -> str:
-    """The centre-rooted code (``graphs._centre_code``) of the tree with
-    these edges on n >= 1 vertices.  Raises ``ValueError`` unless the
-    input is a tree."""
-    adj = _tree_adjacency(n, edges)
-    if adj is None:
-        raise ValueError(f"edges do not form a tree on {n} vertices")
-    return _centre_code(adj)
-
-
 def _form_code(form: str) -> str | None:
     """The centre-rooted code of the tree a form string names, or None when
     it names no tree.  A form on more than ``VERTEX_CAP`` symbols raises
@@ -56,8 +46,7 @@ def _form_code(form: str) -> str | None:
     n, pairs = parse_form(form)
     if n > VERTEX_CAP:
         raise CapExceededError(f"tree classes capped at {VERTEX_CAP} symbols (got {n})")
-    adj = _tree_adjacency(n, pairs) if all(len(p) == 2 for p in pairs) else None
-    return None if adj is None else _centre_code(adj)
+    return _tree_code(n, pairs) if all(len(p) == 2 for p in pairs) else None
 
 
 def _code_children(code: str) -> list[str]:
@@ -72,26 +61,16 @@ def _code_children(code: str) -> list[str]:
     return children
 
 
-def _code_adjacency(code: str) -> list[list[int]]:
-    """Adjacency lists of the tree a rooted code names, its vertices
-    numbered in preorder from the root 0."""
-    adj: list[list[int]] = [[] for _ in range(code.count("("))]
-    for u, v in _tree_from_code(code):
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 # ---------------------------------------------------------------------------
 # the tree classes of a tree
 # ---------------------------------------------------------------------------
 
 
-def _tree_classes(series) -> TreeClasses:
-    """Support classes of one component whose symbol graph is a tree on
-    n + 1 symbols, for a k = 2 ``PSeries``."""
+def _series_tree_codes(series) -> frozenset[str]:
+    """Centre-rooted codes of the support classes of one component whose
+    symbol graph is a tree on n + 1 symbols, for a k = 2 ``PSeries``."""
     return frozenset(
-        cls
+        code
         for cls in series.terms
         if len(cls) == 1
         and (code := _form_code(cls[0])) is not None
@@ -123,12 +102,12 @@ def _lambda_t_codes(g: SimpleGraph) -> frozenset[str] | None:
     names one class.  Raises ``CapExceededError`` for a tree above
     ``LAMBDA_T_CAP`` vertices.
     """
-    adj = _tree_adjacency(g.n, g.edges)
-    if adj is None:
+    code = _tree_code(g.n, g.edges)
+    if code is None:
         return None
     _check_tree_cap(g.n, "tree-class extraction")
     codes = set()
-    for a, b in _side_pairs(_code_children(_centre_code(adj))):
+    for a, b in _side_pairs(_code_children(code)):
         # the lesser side roots the code, so a pair and its mirror agree
         x, y = sorted(("(" + "".join(a) + ")", "(" + "".join(b) + ")"))
         codes.add(x[:-1] + y + ")")

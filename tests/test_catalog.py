@@ -152,6 +152,24 @@ def test_cache_skips_unknown_version(tmp_path):
     assert not cache.records
 
 
+def test_cache_skips_other_versions_among_records(tmp_path):
+    path = tmp_path / "series.jsonl"
+    cached_psum(P4, 2, "witness", SeriesCache(path))
+    other = {**json.loads(path.read_text()), "version": "0", "graph6": "Bw"}
+    path.write_text(json.dumps(other) + "\n" + path.read_text())
+    cache = SeriesCache(path)
+    assert list(cache.records) == [(canonical_graph6(P4), 2, "witness")]
+
+
+def test_cache_put_of_a_stored_key_appends_nothing(tmp_path):
+    path = tmp_path / "series.jsonl"
+    cache = SeriesCache(path)
+    series = kneser_psum(P4, 2)
+    cache.put(P4, 2, "witness", series)
+    cache.put(relabel(P4, [3, 1, 0, 2]), 2, "witness", series)
+    assert len(path.read_text().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # exhaustive tree verification
 # ---------------------------------------------------------------------------

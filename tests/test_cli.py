@@ -71,6 +71,21 @@ def test_invariant_cache_file(capsys, tmp_path):
     assert code2 == 0 and out2 == out1
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[1, 2], 5, {"graph6": 5}, {"k": 2.9}, {"k": "2"}],
+    ids=["list", "number", "graph6-not-string", "k-float", "k-string"],
+)
+def test_exit_code_malformed_cache_record(capsys, tmp_path, bad):
+    # a valid record of A_ is written first, then replaced by the bad line
+    cache = tmp_path / "series.jsonl"
+    assert run_cli(capsys, "invariant", "--cache", str(cache), "A_")[0] == 0
+    line = {**json.loads(cache.read_text()), **bad} if isinstance(bad, dict) else bad
+    cache.write_text(json.dumps(line) + "\n")
+    code, out, err = run_cli(capsys, "invariant", "--cache", str(cache), "A_")
+    assert code == 2 and out == "" and err.startswith(f"error: {cache}:1: malformed cache record")
+
+
 def test_reconstruct_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     series = kneser_psum(P4, 2)
     path = tmp_path / "series.json"

@@ -82,3 +82,13 @@ def test_enumeration_caps():
         enumerate_graphs(8)
     with pytest.raises(CapExceededError):
         enumerate_trees(15)
+
+
+def test_enumeration_refuses_empty_graphs():
+    for enumerate_, message in [
+        (enumerate_trees, "tree enumeration needs n >= 1"),
+        (enumerate_graphs, "graph enumeration needs n >= 1"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            enumerate_(0)
+        assert str(exc.value) == message

@@ -76,3 +76,25 @@ def test_errors():
         parse_graph6("A" + chr(200))  # out-of-range character
     with pytest.raises(Graph6Error):
         parse_graph6(">>sparse6<<A_")  # wrong header
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: parse_graph6("~~??????"),
+            "malformed header: 8-byte size form is out of range here",
+        ),
+        (lambda: parse_graph6("~A"), "malformed header: truncated 4-byte size form"),
+        (lambda: parse_graph6("~@@!"), "out-of-range character '!' in size field"),
+        (
+            lambda: write_graph6(SimpleGraph.from_edges(258048, [])),
+            "graph too large for the 4-byte graph6 size form",
+        ),
+    ],
+    ids=["8-byte-size", "truncated-4-byte-size", "bad-size-character", "write-too-large"],
+)
+def test_size_field_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

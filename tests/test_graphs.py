@@ -33,9 +33,8 @@ from kneserchrom import (
     relabel,
     singleton_class_string,
 )
-from kneserchrom.graphs import _canonical_edge_list, _tree_from_code
+from kneserchrom.graphs import _canonical_edge_list, _code_adjacency, _tree_code
 from kneserchrom.kneser import _component_weights
-from kneserchrom.trees import _tree_code
 
 
 def test_simple_graph_construction():
@@ -139,9 +138,11 @@ def test_tree_code_agrees_with_canonical_form():
         codes = {c for c, _ in pairs}
         assert len(codes) == len({f for _, f in pairs}) == len(pairs)
         for c in codes:
-            assert _tree_code(n, _tree_from_code(c)) == c
-    assert _tree_code(1, []) == "()" and _tree_from_code("()") == []
-    assert _tree_code(2, [(1, 0)]) == "(())" and _tree_from_code("(())") == [(0, 1)]
+            adj = _code_adjacency(c)
+            edges = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]
+            assert _tree_code(n, edges) == c
+    assert _tree_code(1, []) == "()" and _code_adjacency("()") == [[]]
+    assert _tree_code(2, [(1, 0)]) == "(())" and _code_adjacency("(())") == [[1], [0]]
     # two centres (the middle of P4): both rootings give the same least code
     assert _tree_code(4, [(0, 1), (1, 2), (2, 3)]) == _tree_code(4, [(2, 0), (0, 3), (3, 1)])
 
@@ -157,8 +158,7 @@ def test_tree_code_refuses_non_trees():
         (3, [(0, 1)]),
         (0, []),
     ]:
-        with pytest.raises(ValueError, match="do not form a tree"):
-            _tree_code(n, edges)
+        assert _tree_code(n, edges) is None
     # such graphs still reach the ordinary search through canonical_form
     g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
     assert canonical_form(g) == canonical_form(SimpleGraph.from_edges(4, [(1, 2), (2, 3), (1, 3)]))
@@ -261,6 +261,46 @@ def test_lambda_validation():
         Lambda.from_blocks(3, [(0, 1, 2)])
     with pytest.raises(ValueError):
         Lambda.from_blocks(1, [(-1,)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SimpleGraph(-1, frozenset()), "vertex count must be non-negative"),
+        (lambda: Multigraph(-1, ()), "vertex count must be non-negative"),
+        (lambda: Multigraph(2, (((0, 2), 1),)), "edge (0,2) out of range for n=2"),
+        (lambda: Multigraph(2, (((0, 1), 0),)), "edge multiplicity must be positive"),
+        (lambda: Lambda(2, ((1, 0),)), "block (1, 0) is not sorted"),
+        (lambda: Lambda(2, ((1, 2), (0, 1))), "blocks must be stored sorted"),
+        (
+            lambda: canonical_form(SimpleGraph(0, frozenset())),
+            "canonical form requires at least one vertex",
+        ),
+        (
+            lambda: graph_from_form("1:[[0]]"),
+            "form string does not describe a 2-uniform graph",
+        ),
+        (
+            lambda: component_class_string(Lambda(1, ((0,), (1,)))),
+            "1-uniform component must use a single symbol",
+        ),
+    ],
+    ids=[
+        "simple-negative-n",
+        "multigraph-negative-n",
+        "multigraph-edge-range",
+        "multigraph-zero-multiplicity",
+        "lambda-unsorted-block",
+        "lambda-unsorted-blocks",
+        "canonical-form-empty",
+        "form-not-2-uniform",
+        "1-uniform-two-symbols",
+    ],
+)
+def test_value_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_connected_components_of_block_multiset():

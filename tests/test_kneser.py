@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from itertools import permutations
 from math import perm
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from oracles import (
@@ -47,6 +49,7 @@ from kneserchrom import (
     lambda_class,
     lambda_t,
     lambda_t_tilde,
+    min_degree_sequence,
     parse_form,
     parse_graph6,
     pseries_eval,
@@ -688,6 +691,68 @@ def test_lambda_t_tilde_of_non_trees():
     assert lambda_t_tilde(c4) == (path, (1, 2, 2, 2, 1))
     with pytest.raises(ValueError, match="no tree classes"):
         lambda_t_tilde(SimpleGraph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def networkx_reads_tree(form: str, symbols: int) -> bool:
+    """Whether networkx reads a class form as a tree on ``symbols`` vertices
+    (repeated pairs are parallel edges, so they are never a tree)."""
+    head, _, body = form.partition(":")
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(int(head)))
+    h.add_edges_from(json.loads(body))
+    return h.number_of_nodes() == symbols and nx.is_tree(h)
+
+
+def small_graphs() -> list[SimpleGraph]:
+    """The 52 graphs with n <= 5."""
+    return [g for n in range(1, 6) for g in enumerate_graphs(n)]
+
+
+def test_lambda_t_of_every_small_graph_filters_its_series():
+    # trees take the code route, other graphs the series route; both must
+    # equal filtering the series by an independent tree test
+    graphs = small_graphs()
+    assert len(graphs) == 52
+    for g in graphs:
+        via_series = {
+            cls
+            for cls in kneser_psum(g, 2).terms
+            if len(cls) == 1 and networkx_reads_tree(cls[0], g.n + 1)
+        }
+        assert lambda_t(g) == via_series, canonical_form(g)
+
+
+def test_lambda_t_tilde_of_every_small_graph_keeps_least_profiles():
+    with_classes = 0
+    for g in small_graphs():
+        classes = lambda_t(g)
+        if not classes:
+            with pytest.raises(ValueError, match="no tree classes"):
+                lambda_t_tilde(g)
+            continue
+        with_classes += 1
+        profiles = {cls: min_degree_sequence(graph_from_form(cls[0])) for cls in classes}
+        best = min(profiles.values())
+        least = frozenset(cls for cls, p in profiles.items() if p == best)
+        assert lambda_t_tilde(g) == (least, best), canonical_form(g)
+    # some non-trees have tree classes too, so the series route is exercised
+    assert with_classes > sum(len(enumerate_trees(n)) for n in range(1, 6))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kneser_psum(SimpleGraph(0, frozenset()), 2), "need at least one vertex"),
+        (lambda: PSeries.from_json("[1]"), "series payload must be a JSON object"),
+        (lambda: direct_eval(P3, 2, 1, {}), "need m >= k"),
+        (lambda: pseries_eval(kneser_psum(P3, 2), 1, {}), "need m >= k"),
+    ],
+    ids=["psum-empty", "payload-not-object", "direct-eval-m-below-k", "pseries-eval-m-below-k"],
+)
+def test_series_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_augment_tree_lambda_small():

@@ -1,9 +1,10 @@
 """The package namespace: ``__all__`` names every public export, no module
 of the package or the tests imports a name it never uses, only ``graphs``
-and ``trees`` decode or slice a tree code, ``catalog`` and ``cli`` hold no
-size cap of their own, no module-level cache of the package grows without
-bound, no package check is an ``assert`` that ``python -O`` would strip,
-and every name the benchmark traces still exists."""
+and ``trees`` decode or slice a tree code, only ``graphs._tree_code`` builds
+one from a labelled tree, ``catalog`` and ``cli`` hold no size cap of their
+own, no module-level cache of the package grows without bound, no package
+check is an ``assert`` that ``python -O`` would strip, and every name the
+benchmark traces still exists."""
 
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ def test_all_matches_public_names():
 
 
 #: helpers that decode or slice a tree code, and the modules that may call them
-CODE_HELPERS = {"_tree_from_code", "_centre_code", "_code_children"}
+CODE_HELPERS = {"_code_adjacency", "_centre_code", "_code_children"}
 CODE_MODULES = {"graphs.py", "trees.py"}
 
 
@@ -53,6 +54,24 @@ def test_tree_code_helpers_stay_in_graphs_and_trees():
                 if name in CODE_HELPERS:
                     callers.add(path.name)
     assert callers and callers <= CODE_MODULES
+
+
+def test_centre_code_has_one_builder():
+    # codes are built by graphs._tree_code; trees._centre_rooted re-roots a
+    # rooted code it decoded, and nothing else calls _centre_code
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [
+                    f"{path.stem}.{func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "_centre_code"
+                ]
+    assert sorted(callers) == ["graphs._tree_code", "trees._centre_rooted"]
 
 
 #: modules that refuse oversized input only through the owning module's checks

@@ -15,7 +15,8 @@ from kneserchrom import (
     relabel,
     rooted_order,
 )
-from kneserchrom.trees import _code_profile, _tree_code
+from kneserchrom.graphs import _tree_code
+from kneserchrom.trees import _code_profile
 
 
 def test_single_vertex():
@@ -47,6 +48,14 @@ def test_twelve_vertex_tree_profile():
     g = SimpleGraph.from_edges(12, edges)
     assert min_degree_sequence(g) == (1, 3, 1, 3, 1, 2, 4, 1, 1, 3, 1, 1)
     assert minimum_leaves(g) == (10, 11)
+
+
+def test_rooted_order_refuses_out_of_range_root():
+    p3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    for root in (-1, 3):
+        with pytest.raises(ValueError) as exc:
+            rooted_order(p3, root)
+        assert str(exc.value) == f"root {root} out of range"
 
 
 def test_rooted_order_structure():

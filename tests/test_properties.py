@@ -37,8 +37,8 @@ from kneserchrom import (
     true_basis,
     write_graph6,
 )
+from kneserchrom.graphs import _tree_code
 from kneserchrom.kneser import _psum_subsets
-from kneserchrom.trees import _tree_code
 
 #: a k = 2 series assembles all 2^|E| spanning subgraphs; 8 edges keep one
 #: example well under a second

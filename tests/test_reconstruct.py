@@ -47,6 +47,14 @@ def test_round_trip_via_full_series():
             assert are_isomorphic(result.graph, t)
 
 
+def test_both_routes_reconstruct_the_same_result():
+    # the series route filters the support, the class route reads the tree
+    for n in range(1, 7):
+        for t in enumerate_trees(n):
+            via_series = reconstruct_from_invariant(kneser_psum(t, 2)).to_json_dict()
+            assert via_series == reconstruct_from_lambda_t(lambda_t(t)).to_json_dict()
+
+
 def test_reconstruction_rejects_k1_series():
     with pytest.raises(ValueError):
         reconstruct_from_invariant(kneser_psum(P3, 1))
