@@ -31,6 +31,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 
 # Hard ceiling for canonicalisation / isomorphism tests.  Everything the
 # package verifies lives at or below 13 vertices (appending a pendant edge
@@ -231,90 +232,77 @@ def is_tree(g: SimpleGraph | Multigraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency_matrix(n: int, weighted_edges) -> list[list[int]]:
-    mat = [[0] * n for _ in range(n)]
-    for (u, v), mult in weighted_edges:
-        mat[u][v] = mult
-        mat[v][u] = mult
-    return mat
-
-
 def _refinement_classes(n: int, mat: list[list[int]]) -> list[list[int]]:
     """Stable iterated degree refinement, classes in a label-independent order.
 
-    Vertices start coloured by their multiplicity-weighted degree signature
-    and are refined by the multiset of (edge multiplicity, neighbour colour)
-    pairs until the partition stops splitting.  Class order is inherited
-    from sorted signatures, so it does not depend on the input labelling.
+    Vertices start in one colour and are refined by the multiset of (edge
+    multiplicity, neighbour colour) pairs until the partition stops
+    splitting, so the first round colours them by their multiplicity-weighted
+    degree signature.  The classes are read off the last round's signatures
+    in sorted order, which does not depend on the input labelling.
     """
-    sig: list[tuple] = [
-        tuple(sorted(m for m in mat[v] if m)) for v in range(n)
-    ]
-    order = sorted(set(sig))
-    color = [order.index(s) for s in sig]
+    color = [0] * n
     while True:
         sig = [
             (color[v], tuple(sorted((mat[v][w], color[w]) for w in range(n) if mat[v][w])))
             for v in range(n)
         ]
         order = sorted(set(sig))
-        new_color = [order.index(s) for s in sig]
         if len(order) == len(set(color)):
-            color = new_color
-            break
-        color = new_color
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(color[v], []).append(v)
-    return [classes[c] for c in sorted(classes)]
+            return [[v for v in range(n) if sig[v] == s] for s in order]
+        color = [order.index(s) for s in sig]
 
 
 def _canonical_edge_list(n: int, weighted_edges) -> tuple[list[list[int]], int]:
     """Lexicographically least relabelled edge list over the searched orbit,
     and the order of the automorphism group.
 
-    The search assigns positions 0..n-1 class by class (classes from the
-    stable refinement, in their canonical order), skipping a candidate
-    vertex whenever swapping it with an already-tried candidate is an
-    automorphism (twin vertices), and keeps the least sorted edge
-    multiset seen at the leaves, counting the leaves that reach it.
+    Call u and v twins when mat[u][w] = mat[v][w] for every w outside
+    {u, v}.  This is an equivalence relation, and each swap of two twins is
+    an automorphism, so twins share a stable colour and the twin classes,
+    computed once, split the classes of the stable refinement.  The search
+    assigns positions 0..n-1 class by class (in the refinement's canonical
+    order), trying one unplaced vertex per twin class at each position, and
+    keeps the least sorted edge multiset seen at the leaves, counting the
+    leaves that reach it.
 
-    Why the count gives |Aut|: call u and v twins when mat[u][w] = mat[v][w]
-    for every w outside {u, v}.  This is an equivalence relation, and each
-    swap of two twins is an automorphism, so the twin group
-    T = prod Sym(twin class) is a subgroup of Aut.  Since tried twins are
-    skipped, each twin class is placed in slot order, and the search visits
-    exactly one labelling per orbit of T.  Automorphisms keep stable
-    colours, so the class-respecting labellings that reach the least edge
-    list form one coset of Aut, of size |Aut|.  T acts freely on that
-    coset, hence |Aut| = (leaves reaching the least list) * |T|.
+    Why the count gives |Aut|: the twin group T = prod Sym(twin class) is a
+    subgroup of Aut.  Each twin class is placed in one fixed order, so the
+    search visits exactly one labelling per orbit of T.  Automorphisms keep
+    stable colours, so the class-respecting labellings that reach the least
+    edge list form one coset of Aut, of size |Aut|.  T acts freely on that
+    coset, hence |Aut| = (leaves reaching the least list) * |T|, and
+    |T| = prod |twin class|!.
     """
-    mat = _adjacency_matrix(n, weighted_edges)
-    classes = _refinement_classes(n, mat)
-    slots: list[list[int]] = []
-    for cls in classes:
-        slots.extend([cls] * len(cls))
+    mat = [[0] * n for _ in range(n)]
+    for (u, v), mult in weighted_edges:
+        mat[u][v] = mat[v][u] = mult
+    parts: list[list[list[int]]] = []  # twin classes of each refinement class
+    for cls in _refinement_classes(n, mat):
+        twin_classes: list[list[int]] = []
+        for v in cls:
+            for twin_class in twin_classes:
+                # the matrix is symmetric with a zero diagonal, so u's row with
+                # its entries at u and v swapped equals v's row exactly for twins
+                u = twin_class[0]
+                row = mat[u][:]
+                row[u], row[v] = row[v], row[u]
+                if row == mat[v]:
+                    twin_class.append(v)
+                    break
+            else:
+                twin_classes.append([v])
+        parts.append(twin_classes)
+    slots = [part for part in parts for twin_class in part for _ in twin_class]
+    edges = [pair for pair, mult in weighted_edges for _ in range(mult)]
 
     best: list[tuple[int, int]] | None = None
     hits = 0  # leaves that reached ``best``
     pos = [-1] * n  # vertex -> assigned position
 
-    def twins(u: int, v: int) -> bool:
-        # the matrix is symmetric with a zero diagonal, so u's row with its
-        # entries at u and v swapped equals v's row exactly for twins
-        row = mat[u][:]
-        row[u], row[v] = row[v], row[u]
-        return row == mat[v]
-
     def leaf() -> None:
         nonlocal best, hits
-        out: list[tuple[int, int]] = []
-        for (u, v), mult in weighted_edges:
-            a, b = pos[u], pos[v]
-            if a > b:
-                a, b = b, a
-            out.extend([(a, b)] * mult)
-        out.sort()
+        out = sorted((pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges)
         if best is None or out < best:
             best, hits = out, 0
         hits += out == best
@@ -323,24 +311,16 @@ def _canonical_edge_list(n: int, weighted_edges) -> tuple[list[list[int]], int]:
         if p == n:
             leaf()
             return
-        tried: list[int] = []
-        for v in slots[p]:
-            if pos[v] != -1:
-                continue
-            if any(twins(u, v) for u in tried):
-                continue
-            tried.append(v)
-            pos[v] = p
-            extend(p + 1)
-            pos[v] = -1
+        for twin_class in slots[p]:
+            if twin_class:
+                v = twin_class.pop()
+                pos[v] = p
+                extend(p + 1)
+                twin_class.append(v)
 
     extend(0)
     assert best is not None
-    # |T| = prod |twin class|!, as the m-th member of a twin class counts m
-    twin_group = 1
-    for cls in classes:
-        for i, v in enumerate(cls):
-            twin_group *= 1 + sum(twins(u, v) for u in cls[:i])
+    twin_group = prod(factorial(len(t)) for part in parts for t in part)
     return [[u, v] for u, v in best], hits * twin_group
 
 

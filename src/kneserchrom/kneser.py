@@ -287,7 +287,8 @@ def _component_weights(form: str, k: int) -> dict[str, int]:
 
 
 def _check_k(k: int) -> None:
-    if k not in (1, 2):
+    # bool is a subclass of int, and True == 1
+    if type(k) is not int or k not in (1, 2):
         raise ValueError("only k = 1 and k = 2 are supported")
 
 
@@ -395,9 +396,9 @@ class PSeries:
                 raise ValueError(
                     f"malformed series payload: bad, non-canonical or unsorted class {cls!r}"
                 )
-            if coeff:
-                terms[cls] = terms.get(cls, 0) + coeff
-        return PSeries(n, k, coeffs, terms)
+            terms[cls] = terms.get(cls, 0) + coeff
+        # a class listed more than once may cancel; no series stores a zero
+        return PSeries(n, k, coeffs, {cls: coeff for cls, coeff in terms.items() if coeff})
 
     @staticmethod
     def from_json(text: str) -> "PSeries":

@@ -187,12 +187,12 @@ def _minimal_profile(classes) -> tuple[TreeClasses, tuple[int, ...]]:
     canonical forms however ``classes`` spells them, and that profile.
 
     Raises ``ValueError`` unless ``classes`` is a non-empty iterable of
-    single tree classes on one symbol count, and ``CapExceededError`` for a
-    class on more than ``VERTEX_CAP`` symbols."""
+    single tree classes on one symbol count of at least two, and
+    ``CapExceededError`` for a class on more than ``VERTEX_CAP`` symbols."""
     codes = set()
     for cls in map(tuple, classes):
         code = _form_code(cls[0]) if len(cls) == 1 else None
-        if code is None:
+        if code in (None, "()"):  # a tree class has at least two symbols
             raise ValueError(f"{cls!r} is not a single tree class")
         codes.add(code)
     if len({code.count("(") for code in codes}) > 1:

@@ -72,6 +72,45 @@ def brute_automorphism_count(n, pairs):
     )
 
 
+def brute_canonical_edge_list(n, weighted_edges):
+    """Least sorted relabelled edge list of a multigraph on 0..n-1 (given as
+    ``((u, v), multiplicity)`` pairs) over every labelling that respects the
+    stable degree refinement, with no twin pruning, and the number of those
+    labellings that reach it.  Automorphisms keep stable colours, so the
+    labellings that reach it form one coset of the automorphism group, and
+    the number is the group's order.
+
+    Vertices start coloured by their multiplicity-weighted degree signature
+    and are re-coloured by (colour, sorted (multiplicity, neighbour colour)
+    pairs) until the partition stops splitting; the classes then take
+    positions 0..n-1 in the order of their sorted last signatures.  Every
+    ordering of every class is tried."""
+    mat = [[0] * n for _ in range(n)]
+    for (u, v), mult in weighted_edges:
+        mat[u][v] = mat[v][u] = mult
+    sig = [tuple(sorted(m for m in row if m)) for row in mat]
+    while True:
+        order = sorted(set(sig))
+        color = [order.index(s) for s in sig]
+        last = [
+            (color[v], tuple(sorted((mat[v][w], color[w]) for w in range(n) if mat[v][w])))
+            for v in range(n)
+        ]
+        if len(set(last)) == len(set(sig)):
+            break
+        sig = last
+    classes = [[v for v in range(n) if last[v] == s] for s in sorted(set(last))]
+    edges = [pair for pair, mult in weighted_edges for _ in range(mult)]
+    best, hits = None, 0
+    for orders in product(*(permutations(cls) for cls in classes)):
+        pos = {v: p for p, v in enumerate(v for order in orders for v in order)}
+        out = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in edges)
+        if best is None or out < best:
+            best, hits = out, 0
+        hits += out == best
+    return [list(e) for e in best], hits
+
+
 def chromatic_polynomial_value(n, edges, m):
     """Proper m-colouring count by deletion-contraction.
 

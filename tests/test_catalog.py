@@ -13,6 +13,7 @@ from kneserchrom import (
     cached_psum,
     canonical_graph6,
     collide_search,
+    direct_eval,
     enumerate_trees,
     fingerprint,
     kneser_psum,
@@ -75,6 +76,22 @@ def test_canonical_graph6_stable_under_relabelling():
 # ---------------------------------------------------------------------------
 # the series cache
 # ---------------------------------------------------------------------------
+
+
+def test_k_true_is_refused(tmp_path):
+    # True == 1, but a series or cache record with k = True is malformed
+    p2 = SimpleGraph.from_edges(2, [(0, 1)])
+    path = tmp_path / "series.jsonl"
+    for call in [
+        lambda: kneser_psum(p2, True),
+        lambda: cached_psum(p2, True, cache=SeriesCache(path)),
+        lambda: lambda_t(p2, True),
+        lambda: direct_eval(p2, True, 3, {}),
+        lambda: collide_search(2, True),
+    ]:
+        with pytest.raises(ValueError, match="^only k = 1 and k = 2 are supported$"):
+            call()
+    assert not path.exists() or path.read_text() == ""
 
 
 def test_cache_round_trip_and_reload(tmp_path):

@@ -234,6 +234,18 @@ def test_exit_code_reconstruct_no_tree_classes(capsys, tmp_path):
     assert code == 2 and "no tree classes" in err
 
 
+def test_exit_code_reconstruct_cancelled_class(capsys, monkeypatch):
+    # a class listed twice with cancelling coefficients is not in the support
+    import io
+
+    term = {"class": ["2:[[0,1]]"], "coeff": 1}
+    payload = {"n": 1, "k": 2, "terms": [term, {**term, "coeff": -1}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(capsys, "reconstruct", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: series has no tree classes in its support\n"
+
+
 # a 12-cycle and a 21-symbol path: wider than any series component
 CYCLE12 = "12:" + json.dumps([[i, i + 1] for i in range(11)] + [[0, 11]], separators=(",", ":"))
 PATH21 = "21:" + json.dumps([[i, i + 1] for i in range(20)], separators=(",", ":"))

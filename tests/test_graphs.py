@@ -9,7 +9,7 @@ import random
 import networkx as nx
 import pytest
 
-from oracles import brute_automorphism_count, labelled_trees
+from oracles import brute_automorphism_count, brute_canonical_edge_list, labelled_trees
 
 from kneserchrom import (
     CapExceededError,
@@ -228,19 +228,44 @@ def test_automorphism_count_against_networkx():
             assert automorphism_count(relabel(g, perm)) == expected
 
 
-def test_automorphism_count_on_component_classes():
-    # the k = 2 symbol multigraphs the orbit sums divide by, parallel edges included
+def _component_classes():
+    """The k = 2 symbol multigraphs the orbit sums divide by, parallel edges
+    included: the component classes of connected graphs with n <= 5."""
     classes = set()
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             if is_connected(g):
                 classes |= _component_weights(canonical_form(g), 2).keys()
+    return sorted(classes)
+
+
+def test_automorphism_count_on_component_classes():
+    classes = _component_classes()
     assert len(classes) == 53
-    for form in sorted(classes):
+    for form in classes:
         w, pairs = parse_form(form)
         assert automorphism_count(Multigraph.from_pairs(w, pairs)) == (
             brute_automorphism_count(w, pairs)
         ), form
+
+
+def test_canonical_search_matches_unpruned_reference():
+    # every graph with n <= 6, every tree with n <= 9 and every component
+    # class, each in its own labelling and in one seeded relabelling
+    rng = random.Random(19)
+    cases = [(g.n, g.sorted_edges()) for n in range(1, 7) for g in enumerate_graphs(n)]
+    cases += [(t.n, t.sorted_edges()) for n in range(1, 10) for t in enumerate_trees(n)]
+    cases += [parse_form(form) for form in _component_classes()]
+    assert len(cases) == 208 + 95 + 53
+    for n, pairs in cases:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for labelled in (pairs, [(perm[u], perm[v]) for u, v in pairs]):
+            weighted = Multigraph.from_pairs(n, labelled).edges
+            expected = brute_canonical_edge_list(n, weighted)
+            assert _canonical_edge_list(n, weighted) == expected, (n, labelled)
+        if n <= 7:  # all n! permutations are cheap enough
+            assert expected[1] == brute_automorphism_count(n, pairs), (n, pairs)
 
 
 def test_relabel_and_induced_subgraph():

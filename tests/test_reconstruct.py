@@ -71,6 +71,12 @@ def test_reconstruction_rejects_classes_without_trees():
         reconstruct_from_lambda_t([("2:[[0,1]]", "2:[[0,1]]")])
 
 
+def test_reconstruction_rejects_a_class_with_no_blocks():
+    # a tree class of an n-vertex tree has n + 1 >= 2 symbols
+    with pytest.raises(ValueError, match=r"^\('1:\[\]',\) is not a single tree class$"):
+        reconstruct_from_lambda_t([("1:[]",)])
+
+
 def test_reconstruction_is_deterministic_and_label_invariant():
     t = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)])
     first = reconstruct_from_lambda_t(lambda_t(t))
