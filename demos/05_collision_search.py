@@ -9,10 +9,13 @@ extends this to all 208 graphs with up to six vertices.
 Deciding equality takes care.  Random evaluations on up to six symbols are
 a sound prefilter (equal invariants evaluate equally), but two invariants
 can agree on every low-symbol value map and still differ: the difference
-may live in disjoint-support classes spreading over more symbols.  Exact
-comparison therefore converts each series to the *disjoint-support basis*
-(coefficients = counts of proper assignments onto a fixed representative),
-which is canonical — equal vectors there mean equal functions.
+may live in disjoint-support classes spreading over more symbols.  The
+canonical form of a series is its vector in the *disjoint-support basis*
+(coefficients = counts of proper assignments onto a fixed representative).
+The change to that basis is triangular — each product of connected classes
+yields its own disjoint class plus classes on fewer symbols — so equal
+vectors there mean equal terms, and the collision search compares terms.
+Every collision it reports therefore has identical series.
 """
 
 from kneserchrom import (

@@ -27,7 +27,6 @@ from .kneser import (
     kneser_psum,
     pseries_eval,
     random_values,
-    true_basis,
 )
 from .reconstruct import _delete_minimum_leaf, verify_tau_isomorphism
 from .trees import _check_tree_cap, _lambda_t_codes, _minimal_tree_classes
@@ -52,7 +51,7 @@ class Fingerprint:
     invariants.  Equal fingerprints are only a hint: they probe the
     restriction to at most ``max(ms)`` symbols, which is blind to
     disjoint-support classes spreading over more symbols, so candidates
-    must be confirmed by exact comparison in the disjoint-support basis.
+    must be confirmed by exact comparison of their terms.
     """
 
     k: int
@@ -249,14 +248,15 @@ def collide_search(
 ) -> dict:
     """Search all graphs (per vertex count) for equal invariants.
 
-    Graphs are grouped by vertex count and fingerprint; groups of size > 1
-    are decided exactly in the disjoint-support basis (``true_basis``), the
-    canonical form of the invariant as a function.  Equal vectors land in
-    ``collisions`` (with a note whether even the stored representations
-    agree); unequal vectors whose low-symbol evaluations happened to match
-    land in ``fingerprint_collisions``.  The latter genuinely occur: two
-    representations can agree on every value map with at most 6 symbols yet
-    differ in disjoint-support classes spreading over more symbols.
+    Graphs are grouped by vertex count and fingerprint; pairs within a
+    group are decided exactly by their terms, since the class products are
+    linearly independent (see the basis note in ``kneser``): equal terms
+    mean equal ``true_basis`` vectors and equal functions.  Equal terms land
+    in ``collisions``, whose ``representation_equal`` is therefore always
+    true; unequal terms whose low-symbol evaluations happened to match land
+    in ``fingerprint_collisions``.  The latter genuinely occur: two series
+    can agree on every value map with at most 6 symbols yet differ in
+    disjoint-support classes spreading over more symbols.
     An ``n_max`` above ``PSUM_VERTEX_CAP``, or (k = 2) with K_{n_max} above
     ``PSUM_SUBSET_CAP``, raises ``CapExceededError`` before any series.
     """
@@ -275,16 +275,13 @@ def collide_search(
             fp = fingerprint(series, seed)
             groups.setdefault(fp.residues, []).append((canonical_graph6(g), series))
         for members in groups.values():
-            if len(members) < 2:
-                continue
-            vectors = [true_basis(series) for _, series in members]
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     g6a, sa = members[i]
                     g6b, sb = members[j]
                     entry = {"n": n, "graph6_a": g6a, "graph6_b": g6b}
-                    if vectors[i] == vectors[j]:
-                        entry["representation_equal"] = sa.terms == sb.terms
+                    if sa.terms == sb.terms:
+                        entry["representation_equal"] = True
                         collisions.append(entry)
                     else:
                         fp_collisions.append(entry)

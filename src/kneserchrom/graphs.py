@@ -140,7 +140,8 @@ class Lambda:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.k not in (1, 2):
+        # bool is a subclass of int, and True == 1
+        if type(self.k) is not int or self.k not in (1, 2):
             raise ValueError("only k = 1 and k = 2 are supported")
         for b in self.blocks:
             if len(b) != self.k or len(set(b)) != self.k:

@@ -484,7 +484,7 @@ def _psum_k1(g: SimpleGraph) -> dict[PClass, int]:
         return memo[x]
 
     full = terms((1 << g.n) - 1)
-    return {tuple(sorted(map(singleton_class_string, s))): v for s, v in full.items()}
+    return {tuple(sorted(map(singleton_class_string, s))): v for s, v in full.items() if v}
 
 
 @lru_cache(maxsize=1 << 10)
@@ -675,15 +675,21 @@ def pseries_eval(series: PSeries, m: int, values: dict[tuple[int, ...], int]) ->
 # ---------------------------------------------------------------------------
 #
 # The series stores coefficients over *tuples of connected classes*, and
-# evaluation multiplies the components' orbit sums.  Those products are not
-# linearly independent: sharing symbols between two components produces a
-# merged class, e.g. for single blocks  O_b * O_b = O_bb + 2 O_(b)(b),  so
-# the same function can have several representations.  (For k = 1 this is
-# the familiar p_1^2 = m_2 + 2 m_11; the power sums themselves stay
-# algebraically independent, so k = 1 representations are unique -- but for
-# k = 2 they are not.)  Exact equality of invariants must therefore be
-# decided in the basis of *disjoint-support* multiset classes, whose orbit
-# sums have pairwise disjoint monomial supports.
+# evaluation multiplies the components' orbit sums.  Sharing symbols between
+# two components produces a merged class, e.g. for single blocks
+# O_b * O_b = O_bb + 2 O_(b)(b)  (for k = 1, p_1^2 = m_2 + 2 m_11).  The
+# canonical basis is that of *disjoint-support* multiset classes, whose
+# orbit sums have pairwise disjoint monomial supports.
+#
+# The products are linearly independent all the same, for k = 2 as for
+# Stanley's k = 1 power sums.  ``_merge_expansion(T, C)`` yields one class
+# on w_T + w_C symbols, the disjoint class sorted(T + (C,)), with a positive
+# coefficient, and otherwise only classes on fewer symbols.  So a term maps
+# to itself plus classes on fewer symbols: graded by symbol count the map is
+# triangular with a positive diagonal, and the top-grade terms of a nonzero
+# combination keep their own classes.  Two series in normal form (sorted
+# class tuples, no zero coefficient) have equal ``true_basis`` vectors
+# exactly when their terms are equal.
 
 
 def _class_aut(pclass: PClass) -> int:
@@ -768,8 +774,9 @@ def true_basis(series: PSeries) -> dict[PClass, int]:
     Linear in the series; each stored term (a product of connected classes)
     is expanded component by component via ``_merge_expansion``.  Vectors in
     this basis are canonical: two series are equal as functions of the block
-    variables exactly when their vectors agree, so this is the right object
-    for exact collision decisions.  (For a witness series of a graph, the
+    variables exactly when their vectors agree.  The expansion is triangular
+    (see the note above), so for series in normal form that is exactly when
+    their terms agree.  (For a witness series of a graph, the
     coefficient of a class D here equals the number of proper block
     assignments realising one labelled representative of D.)
     """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -345,9 +346,8 @@ def test_collide_search_k1_finds_the_classical_pair():
     (entry,) = result["collisions"]
     pair = {entry["graph6_a"], entry["graph6_b"]}
     assert pair == {canonical_graph6(parse_graph6("D`{")), canonical_graph6(parse_graph6("DR["))}
-    # the two representations coincide termwise: for k = 1 the class
-    # monomials are algebraically independent, so equal functions have
-    # equal representations
+    # equal functions have equal terms: the class products are linearly
+    # independent for k = 1 and k = 2 alike
     assert entry["representation_equal"] is True
     assert summary["fingerprint_collisions"] == 0
 
@@ -368,6 +368,31 @@ def test_collide_search_k2_separates_all_small_graphs():
         (canonical_graph6(parse_graph6("DR[")), canonical_graph6(parse_graph6("Dr[")))
     )
     assert known in clashing
+
+
+def test_collide_search_decides_pairs_without_true_basis(monkeypatch):
+    # the exact step compares terms; the disjoint-support basis stays the
+    # oracle, and the results are those its vectors gave
+    def refuse(*args):
+        raise AssertionError("collision search expanded a series in the disjoint-support basis")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kneser, "true_basis", refuse)
+        mp.setattr(kneser, "_merge_expansion", refuse)
+        results = {k: collide_search(5, k) for k in (1, 2)}
+    digests = {
+        k: hashlib.sha256(json.dumps(r, sort_keys=True).encode()).hexdigest()
+        for k, r in results.items()
+    }
+    assert digests == {
+        1: "f83dd0c3f32699e3511c9320ab3aea1bf08925bcadbfd068c449018257cf99ae",
+        2: "0f12b3ec934be550ee532d7a5e083bd7b72ed98f6bd1d98ec1b79141b29ae925",
+    }
+    for k, result in results.items():
+        for entries, equal in ((result["collisions"], True), (result["fingerprint_collisions"], False)):
+            for e in entries:
+                a, b = (kneser_psum(parse_graph6(e[key]), k) for key in ("graph6_a", "graph6_b"))
+                assert (kneser.true_basis(a) == kneser.true_basis(b)) is equal
 
 
 def test_collide_search_uses_cache(tmp_path):

@@ -297,6 +297,8 @@ def test_lambda_validation():
         (lambda: Multigraph(2, (((0, 1), 0),)), "edge multiplicity must be positive"),
         (lambda: Lambda(2, ((1, 0),)), "block (1, 0) is not sorted"),
         (lambda: Lambda(2, ((1, 2), (0, 1))), "blocks must be stored sorted"),
+        # True == 1, but a bool is not a block size
+        (lambda: Lambda.from_blocks(True, [(0,), (0,)]), "only k = 1 and k = 2 are supported"),
         (
             lambda: canonical_form(SimpleGraph(0, frozenset())),
             "canonical form requires at least one vertex",
@@ -317,6 +319,7 @@ def test_lambda_validation():
         "multigraph-zero-multiplicity",
         "lambda-unsorted-block",
         "lambda-unsorted-blocks",
+        "lambda-k-true",
         "canonical-form-empty",
         "form-not-2-uniform",
         "1-uniform-two-symbols",

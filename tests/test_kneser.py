@@ -9,7 +9,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import perm
 from pathlib import Path
 
@@ -519,23 +519,75 @@ def test_true_basis_matches_proper_map_census():
                 assert true_basis(kneser_psum(g, k)) == expected
 
 
-def test_merge_expansion_equals_split_count(monkeypatch):
-    # every (t_class, comp) pair true_basis expands for a graph with n <= 5
+def _small_series():
+    """The series of every graph on n vertices, for each n <= 5, k and
+    normalisation."""
+    for n in range(1, 6):
+        for k in (1, 2):
+            for coeffs in ("witness", "indicator"):
+                yield [kneser_psum(g, k, coeffs=coeffs) for g in enumerate_graphs(n)]
+
+
+def _symbol_count(pclass) -> int:
+    return sum(parse_form(comp)[0] for comp in pclass)
+
+
+@pytest.fixture(scope="module")
+def merge_pairs():
+    """Every (t_class, comp) pair true_basis expands for a graph with n <= 5."""
     pairs = set()
 
     def recording(t_class, comp):
         pairs.add((t_class, comp))
         return _merge_expansion(t_class, comp)
 
-    monkeypatch.setattr(kneser, "_merge_expansion", recording)
-    for n in range(1, 6):
-        for g in enumerate_graphs(n):
-            for k in (1, 2):
-                for coeffs in ("witness", "indicator"):
-                    true_basis(kneser_psum(g, k, coeffs=coeffs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kneser, "_merge_expansion", recording)
+        for series in _small_series():
+            for s in series:
+                true_basis(s)
     assert len(pairs) == 147
-    for t_class, comp in sorted(pairs):
+    return sorted(pairs)
+
+
+def test_merge_expansion_equals_split_count(merge_pairs):
+    for t_class, comp in merge_pairs:
         assert dict(_merge_expansion(t_class, comp)) == brute_merge_expansion(t_class, comp)
+
+
+def test_merge_expansion_is_triangular(merge_pairs):
+    # the one class on w_T + w_C symbols is the disjoint class, with a
+    # positive coefficient, and no class spreads over more symbols
+    for t_class, comp in merge_pairs:
+        top = _symbol_count(t_class) + _symbol_count((comp,))
+        expansion = dict(_merge_expansion(t_class, comp))
+        widest = [cls for cls in expansion if _symbol_count(cls) >= top]
+        assert widest == [tuple(sorted(t_class + (comp,)))]
+        assert expansion[widest[0]] > 0
+
+
+def test_series_terms_are_in_normal_form():
+    # collision search compares terms, which is exact only for sorted class
+    # tuples and no stored zero
+    for series in _small_series():
+        for s in series:
+            for cls, coeff in s.terms.items():
+                assert cls == tuple(sorted(cls))
+                assert coeff != 0
+
+
+def test_true_basis_equal_exactly_when_terms_equal():
+    pairs = equal = 0
+    for series in _small_series():
+        vectors = [true_basis(s) for s in series]
+        for i, j in combinations(range(len(series)), 2):
+            same = series[i].terms == series[j].terms
+            assert (vectors[i] == vectors[j]) == same
+            pairs += 1
+            equal += same
+    assert pairs == 4 * (0 + 1 + 6 + 55 + 561) == 2492
+    # the classical k = 1 pair on five vertices, in both normalisations
+    assert equal == 2
 
 
 def test_merge_images_are_the_kept_permutations():
@@ -570,7 +622,7 @@ def test_representation_collision_pair_differs_in_true_basis():
     ta, tb = true_basis(sa), true_basis(sb)
     assert ta != tb
     diff = {c for c in set(ta) | set(tb) if ta.get(c) != tb.get(c)}
-    spans = {sum(parse_form(comp)[0] for comp in cls) for cls in diff}
+    spans = {_symbol_count(cls) for cls in diff}
     assert min(spans) == 7
     vals7 = random_values(2, 7, seed=23)
     assert direct_eval(a, 2, 7, vals7) != direct_eval(b, 2, 7, vals7)
