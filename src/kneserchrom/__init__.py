@@ -24,6 +24,7 @@ from .catalog import (
 from .generate import FREE_TREE_COUNTS, enumerate_graphs, enumerate_trees
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import (
+    NONTREE_VERTEX_CAP,
     VERTEX_CAP,
     CapExceededError,
     Lambda,
@@ -92,6 +93,7 @@ __all__ = [
     "LAMBDA_T_CAP",
     "Lambda",
     "Multigraph",
+    "NONTREE_VERTEX_CAP",
     "PSUM_VERTEX_CAP",
     "PSeries",
     "ReconstructionResult",

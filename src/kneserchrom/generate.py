@@ -23,6 +23,7 @@ from .graphs import (
     CapExceededError,
     SimpleGraph,
     VERTEX_CAP,
+    _check_vertex_cap,
     _tree_code,
     _tree_form,
     canonical_form,
@@ -42,8 +43,7 @@ def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
     """
     if n < 1:
         raise ValueError("tree enumeration needs n >= 1")
-    if n > VERTEX_CAP:
-        raise CapExceededError(f"tree enumeration capped at {VERTEX_CAP} vertices (got {n})")
+    _check_vertex_cap(n, "tree enumeration")
     if n == 1:
         return (SimpleGraph.from_edges(1, []),)
     codes = {

@@ -21,8 +21,9 @@ this package works with.  The same search counts automorphisms
 (``automorphism_count``).  Trees are looked up by their centre-rooted AHU
 code first, so each distinct tree is searched once.  This module holds the
 one code builder (``_tree_code``) and the one decoder (``_code_adjacency``);
-every other algorithm on tree codes lives in ``trees.py``.  A hard vertex
-cap keeps accidental huge inputs from hanging the process.
+every other algorithm on tree codes lives in ``trees.py``, and every
+connectivity question goes through ``_bfs``.  Hard vertex caps, a tighter
+one for non-trees, keep accidental huge inputs from hanging the process.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from math import factorial, prod
 # package verifies lives at or below 13 vertices (appending a pendant edge
 # to a 12-vertex tree); 14 leaves one step of headroom.
 VERTEX_CAP = 14
+# The labelling search visits n! leaves on a cycle.  The largest non-tree the
+# package names is a class component: at most 7 blocks, so at most 8 symbols.
+NONTREE_VERTEX_CAP = 8
 
 
 class CapExceededError(ValueError):
@@ -128,6 +132,12 @@ class Multigraph:
         return SimpleGraph(self.n, frozenset(pair for pair, _ in self.edges))
 
 
+def _check_k(k: int) -> None:
+    # bool is a subclass of int, and True == 1
+    if type(k) is not int or k not in (1, 2):
+        raise ValueError("only k = 1 and k = 2 are supported")
+
+
 @dataclass(frozen=True)
 class Lambda:
     """A multiset of k-element blocks of symbols (k = 1 or 2).
@@ -140,9 +150,7 @@ class Lambda:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        # bool is a subclass of int, and True == 1
-        if type(self.k) is not int or self.k not in (1, 2):
-            raise ValueError("only k = 1 and k = 2 are supported")
+        _check_k(self.k)
         for b in self.blocks:
             if len(b) != self.k or len(set(b)) != self.k:
                 raise ValueError(f"block {b} is not a {self.k}-element set")
@@ -169,32 +177,29 @@ class Lambda:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, items) -> None:
-        self.parent = {x: x for x in items}
+def _bfs(adj: list[list[int]], start: int, seen: list[bool]) -> list[int]:
+    """The unseen vertices reachable from ``start``, in breadth-first order
+    taking neighbours in list order; marks them in ``seen``."""
+    seen[start] = True
+    order = [start]
+    for v in order:
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
+    return order
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
 
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
+def _components(adj: list[list[int]]) -> list[list[int]]:
+    """Connected components of adjacency lists in order of their least
+    vertex, each in breadth-first order from it."""
+    seen = [False] * len(adj)
+    return [_bfs(adj, v, seen) for v in range(len(adj)) if not seen[v]]
 
 
 def graph_components(g: SimpleGraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    uf = _UnionFind(range(g.n))
-    for u, v in g.edges:
-        uf.union(u, v)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(uf.find(v), []).append(v)
-    return sorted((sorted(vs) for vs in groups.values()), key=lambda vs: vs[0])
+    return [sorted(comp) for comp in _components(g.adjacency())]
 
 
 def connected_components(lam: Lambda) -> list[Lambda]:
@@ -202,20 +207,18 @@ def connected_components(lam: Lambda) -> list[Lambda]:
 
     Two blocks land in the same part when they are linked by a chain of
     shared symbols.  The parts are again ``Lambda`` values and their union
-    (as a multiset) is the input.
+    (as a multiset) is the input.  Parts come in order of their least
+    symbol, which for sorted blocks on disjoint symbols is block order.
     """
-    if not lam.blocks:
-        return []
-    uf = _UnionFind({s for b in lam.blocks for s in b})
+    symbols = lam.symbols()
+    index = {s: i for i, s in enumerate(symbols)}
+    adj: list[list[int]] = [[] for _ in symbols]
     for b in lam.blocks:
         for s in b[1:]:
-            uf.union(b[0], s)
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for b in lam.blocks:
-        groups.setdefault(uf.find(b[0]), []).append(b)
-    parts = [Lambda.from_blocks(lam.k, bs) for bs in groups.values()]
-    parts.sort(key=lambda p: p.blocks)
-    return parts
+            adj[index[b[0]]].append(index[s])
+            adj[index[s]].append(index[b[0]])
+    held = [{symbols[v] for v in comp} for comp in _components(adj)]
+    return [Lambda(lam.k, tuple(b for b in lam.blocks if b[0] in h)) for h in held]
 
 
 def is_connected(g: SimpleGraph) -> bool:
@@ -325,13 +328,18 @@ def _canonical_edge_list(n: int, weighted_edges) -> tuple[list[list[int]], int]:
     return [[u, v] for u, v in best], hits * twin_group
 
 
+def _check_vertex_cap(n: int, what: str) -> None:
+    """Refuse ``what`` on more than ``VERTEX_CAP`` vertices."""
+    if n > VERTEX_CAP:
+        raise CapExceededError(f"{what} capped at {VERTEX_CAP} vertices (got {n})")
+
+
 def _weighted_edges(g: SimpleGraph | Multigraph, what: str) -> tuple:
     """``((u, v), multiplicity)`` pairs sorted by pair, after the size checks
     shared by the isomorphism routines (``what`` names the caller)."""
     if g.n < 1:
         raise ValueError(f"{what} requires at least one vertex")
-    if g.n > VERTEX_CAP:
-        raise CapExceededError(f"{what} capped at {VERTEX_CAP} vertices (got {g.n})")
+    _check_vertex_cap(g.n, what)
     if isinstance(g, Multigraph):
         return g.edges
     return tuple(((u, v), 1) for u, v in g.sorted_edges())
@@ -344,12 +352,18 @@ def _canonical_form_cached(n: int, weighted_edges: tuple) -> tuple[str, int]:
     The key is labelled, so isomorphic inputs with different labels take
     separate entries.  A tree is looked up by its centre-rooted code in
     ``_tree_form``, so each distinct tree is searched once however it is
-    labelled.  The bound of 16384 entries sits far above the few hundred
-    that tree verification or a collision search to n = 5 holds."""
+    labelled.  A non-tree above ``NONTREE_VERTEX_CAP`` vertices raises
+    ``CapExceededError`` before its search.  The bound of 16384 entries sits
+    far above the few hundred that tree verification or a collision search
+    to n = 5 holds."""
     if len(weighted_edges) == n - 1 and all(mult == 1 for _, mult in weighted_edges):
         code = _tree_code(n, [pair for pair, _ in weighted_edges])
         if code is not None:
             return _tree_form(code)
+    if n > NONTREE_VERTEX_CAP:
+        raise CapExceededError(
+            f"canonical form of a non-tree capped at {NONTREE_VERTEX_CAP} vertices (got {n})"
+        )
     return _search_form(n, weighted_edges)
 
 
@@ -433,15 +447,7 @@ def _tree_adjacency(n: int, edges) -> list[list[int]] | None:
         count += 1
     if count != n - 1:
         return None
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return adj if all(seen) else None
+    return adj if len(_bfs(adj, 0, [False] * n)) == n else None
 
 
 def _centre_code(adj: list[list[int]]) -> str:

@@ -66,7 +66,10 @@ from .graphs import (
     Lambda,
     Multigraph,
     SimpleGraph,
+    _bfs,
     _blocks_class_string,
+    _check_k,
+    _components,
     _tree_form,
     automorphism_count,
     canonical_form,
@@ -117,33 +120,19 @@ class AdmissibleWitness:
 
 
 def _search_order(g: SimpleGraph) -> tuple[list[int], list[list[int]]]:
-    """Vertices component by component in BFS order, plus for each position
-    the positions of its already-placed neighbours.
+    """Vertices component by component in BFS order, each component from
+    its vertex of largest degree (least label on ties), plus for each
+    position the positions of its already-placed neighbours.
 
     Every vertex after the first of its component has at least one earlier
     neighbour, so adjacency constraints can be checked incrementally."""
     adj = g.adjacency()
-    deg = g.degrees()
     seen = [False] * g.n
     order: list[int] = []
-    for comp in graph_components(g):
-        start = max(comp, key=lambda v: (deg[v], -v))
-        queue = [start]
-        seen[start] = True
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+    for comp in _components(adj):
+        order += _bfs(adj, max(comp, key=lambda v: (len(adj[v]), -v)), seen)
     pos = {v: i for i, v in enumerate(order)}
-    earlier: list[list[int]] = [[] for _ in order]
-    for i, v in enumerate(order):
-        for w in adj[v]:
-            if pos[w] < i:
-                earlier[i].append(pos[w])
-    return order, earlier
+    return order, [[pos[w] for w in adj[v] if pos[w] < i] for i, v in enumerate(order)]
 
 
 def _placement(g: SimpleGraph, blocks):
@@ -284,12 +273,6 @@ def _component_weights(form: str, k: int) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # the power-sum series
 # ---------------------------------------------------------------------------
-
-
-def _check_k(k: int) -> None:
-    # bool is a subclass of int, and True == 1
-    if type(k) is not int or k not in (1, 2):
-        raise ValueError("only k = 1 and k = 2 are supported")
 
 
 def _check_coeffs(coeffs: str) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import SimpleGraph, _tree_adjacency
+from .graphs import SimpleGraph, _check_vertex_cap, _tree_adjacency
 
 DegreeProfile = tuple[int, ...]
 
@@ -50,12 +50,20 @@ def rooted_order(g: SimpleGraph, root: int) -> RootedOrder:
     BFS layers from the root, each layer sorted by ascending degree with
     ties broken by vertex label.
     """
-    adj = _tree_adjacency(g.n, g.edges)
-    if adj is None:
-        raise ValueError("operation defined for trees only")
+    adj = _tree_lists(g)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range")
     return _rooted_order(adj, [len(a) for a in adj], root)
+
+
+def _tree_lists(g: SimpleGraph) -> list[list[int]]:
+    """Adjacency lists of the tree ``g``, refused above ``VERTEX_CAP``
+    before any work: every profile roots the tree at each leaf."""
+    _check_vertex_cap(g.n, "tree profiles")
+    adj = _tree_adjacency(g.n, g.edges)
+    if adj is None:
+        raise ValueError("operation defined for trees only")
+    return adj
 
 
 def _rooted_order(adj: list[list[int]], deg: list[int], root: int) -> RootedOrder:
@@ -93,10 +101,7 @@ def _minimum_rootings(g: SimpleGraph) -> tuple[RootedOrder, ...]:
     vertices of degree at most 1 are tried: the leaves, or the sole vertex
     of the one-vertex tree.
     """
-    adj = _tree_adjacency(g.n, g.edges)
-    if adj is None:
-        raise ValueError("operation defined for trees only")
-    return _adjacency_rootings(adj)
+    return _adjacency_rootings(_tree_lists(g))
 
 
 def _adjacency_rootings(adj: list[list[int]]) -> tuple[RootedOrder, ...]:

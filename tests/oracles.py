@@ -163,6 +163,41 @@ def brute_min_profile(n, edges, root):
     return best
 
 
+def reference_search_order(n, edges):
+    """``kneser._search_order`` by a textbook queue BFS, with components
+    found by relaxing least-vertex labels along the edges until they settle.
+
+    Components come in order of their least vertex; each is searched from
+    its vertex of largest degree (least label on ties), taking neighbours
+    in increasing label order.  Returns the order and, for each position,
+    the positions of its earlier neighbours.
+    """
+    adj = [sorted({w for e in edges if v in e for w in e if w != v}) for v in range(n)]
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            low = min(label[u], label[v])
+            if label[u] != low or label[v] != low:
+                label[u] = label[v] = low
+                changed = True
+    order = []
+    for root in sorted(set(label)):
+        comp = [v for v in range(n) if label[v] == root]
+        start = max(comp, key=lambda v: (len(adj[v]), -v))
+        queue, seen = [start], {start}
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    earlier = [[order.index(w) for w in adj[v] if order.index(w) < i] for i, v in enumerate(order)]
+    return order, earlier
+
+
 def all_block_bijections(n, edges, blocks):
     """Every bijection of 0..n-1 onto the block multiset with intersecting
     blocks on edges, by trying all slot permutations (deduplicated)."""

@@ -130,6 +130,13 @@ def test_profile_rejects_non_tree(capsys):
     assert "error:" in err
 
 
+def test_profile_refuses_a_tree_above_the_vertex_cap(capsys):
+    star = SimpleGraph.from_edges(16, [(0, i) for i in range(1, 16)])
+    code, out, err = run_cli(capsys, "profile", write_graph6(star))
+    assert code == 3 and out == ""
+    assert err.startswith("error: tree profiles capped at 14 vertices (got 16)")
+
+
 def test_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--nmax", "4")
     assert code == 0

@@ -33,6 +33,7 @@ from kneserchrom import (
     relabel,
     singleton_class_string,
 )
+from kneserchrom import graphs
 from kneserchrom.graphs import _canonical_edge_list, _code_adjacency, _tree_code
 from kneserchrom.kneser import _component_weights
 
@@ -110,6 +111,35 @@ def test_canonical_form_separates_nonisomorphic_small_graphs():
             assert (fa == fb) == nx.is_isomorphic(na, nb)
 
 
+def test_components_agree_with_networkx():
+    rng = random.Random(22)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, relabel(g, perm)):
+                nh = nx.Graph(h.sorted_edges())
+                nh.add_nodes_from(range(n))
+                expected = sorted(sorted(c) for c in nx.connected_components(nh))
+                assert graph_components(h) == expected
+                assert is_connected(h) == nx.is_connected(nh)
+    # block multisets on sparse, gapped symbols: each part holds the blocks
+    # of one symbol component, parts in order of their least block
+    for k in (1, 2):
+        for _ in range(500):
+            blocks = [tuple(rng.sample(range(0, 30, 3), k)) for _ in range(rng.randint(0, 9))]
+            lam = Lambda.from_blocks(k, blocks)
+            symbols = nx.Graph()
+            symbols.add_nodes_from(lam.symbols())
+            symbols.add_edges_from(b for b in lam.blocks if k == 2)
+            expected = sorted(
+                tuple(b for b in lam.blocks if b[0] in comp)
+                for comp in nx.connected_components(symbols)
+            )
+            assert [part.blocks for part in connected_components(lam)] == expected
+            assert all(part.k == k for part in connected_components(lam))
+
+
 def test_canonical_form_multigraph_multiplicities_matter():
     a = Multigraph.from_pairs(3, [(0, 1), (0, 1), (1, 2)])
     b = Multigraph.from_pairs(3, [(0, 1), (1, 2), (1, 2)])
@@ -128,6 +158,33 @@ def test_canonical_form_cap():
     big = SimpleGraph.from_edges(15, [(i, i + 1) for i in range(14)])
     with pytest.raises(CapExceededError):
         canonical_form(big)
+
+
+def test_non_tree_search_cap(monkeypatch):
+    # a cycle is one refinement class with no twins: n! leaves
+    cube = SimpleGraph.from_edges(
+        8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit]
+    )
+    assert canonical_form(cube).startswith("8:")
+    assert automorphism_count(cube) == 48
+    octagon = Lambda.from_blocks(2, [(i, (i + 1) % 8) for i in range(8)])
+    assert lambda_class(octagon) == (
+        "8:[[0,1],[0,2],[1,3],[2,4],[3,5],[4,6],[5,7],[6,7]]",
+    )
+    # trees keep VERTEX_CAP, and a refused non-tree never reaches the search
+    path = SimpleGraph.from_edges(14, [(i, i + 1) for i in range(13)])
+    assert automorphism_count(path) == 2
+
+    def search(*args):
+        raise AssertionError("the labelling search ran")
+
+    monkeypatch.setattr(graphs, "_search_form", search)
+    c9 = SimpleGraph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)])
+    with pytest.raises(CapExceededError) as exc:
+        canonical_form(c9)
+    assert str(exc.value) == "canonical form of a non-tree capped at 8 vertices (got 9)"
+    with pytest.raises(CapExceededError):
+        automorphism_count(Multigraph.from_pairs(9, [(i, i + 1) for i in range(8)] + [(0, 1)]))
 
 
 def test_tree_code_agrees_with_canonical_form():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -26,6 +27,7 @@ from oracles import (
     chromatic_polynomial_value,
     enumerate_admissible_classes,
     lambda_support,
+    reference_search_order,
     spanning_class_union,
 )
 
@@ -67,6 +69,7 @@ from kneserchrom.kneser import (
     _orbit_sum,
     _psum_k1,
     _psum_subsets,
+    _search_order,
 )
 from kneserchrom.trees import _form_code
 
@@ -78,6 +81,21 @@ STAR3 = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 # ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------
+
+
+def test_search_order_matches_reference_bfs():
+    # every graph with n <= 7 from the networkx atlas, in its own labelling
+    # and in one seeded relabelling
+    rng = random.Random(22)
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253
+    for ng in atlas:
+        n = ng.number_of_nodes()
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for edges in (list(ng.edges()), [(perm[u], perm[v]) for u, v in ng.edges()]):
+            g = SimpleGraph.from_edges(n, edges)
+            assert _search_order(g) == reference_search_order(n, g.sorted_edges())
 
 
 def test_is_admissible_frozen_examples():

@@ -7,7 +7,9 @@ import pytest
 from oracles import brute_min_profile
 
 from kneserchrom import (
+    CapExceededError,
     SimpleGraph,
+    augment_tree_lambda,
     enumerate_trees,
     min_degree_sequence,
     min_rooted_degree_sequence,
@@ -15,6 +17,7 @@ from kneserchrom import (
     relabel,
     rooted_order,
 )
+from kneserchrom import profiles
 from kneserchrom.graphs import _tree_code
 from kneserchrom.trees import _code_profile
 
@@ -48,6 +51,26 @@ def test_twelve_vertex_tree_profile():
     g = SimpleGraph.from_edges(12, edges)
     assert min_degree_sequence(g) == (1, 3, 1, 3, 1, 2, 4, 1, 1, 3, 1, 1)
     assert minimum_leaves(g) == (10, 11)
+
+
+def test_profiles_refuse_trees_above_the_vertex_cap(monkeypatch):
+    # every profile roots the tree at each leaf, so an oversized tree is
+    # refused before its adjacency is even built
+    def build(*args):
+        raise AssertionError("the tree was built before the cap check")
+
+    monkeypatch.setattr(profiles, "_tree_adjacency", build)
+    star16 = SimpleGraph.from_edges(16, [(0, i) for i in range(1, 16)])
+    star3000 = SimpleGraph.from_edges(3000, [(0, i) for i in range(1, 3000)])
+    for call in (
+        lambda: rooted_order(star16, 0),
+        lambda: min_degree_sequence(star16),
+        lambda: minimum_leaves(star16),
+        lambda: augment_tree_lambda(star16),
+        lambda: min_degree_sequence(star3000),
+    ):
+        with pytest.raises(CapExceededError, match=r"^tree profiles capped at 14 vertices"):
+            call()
 
 
 def test_rooted_order_refuses_out_of_range_root():
