@@ -55,11 +55,13 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
+from itertools import combinations, islice, permutations
+from math import factorial, perm
+from operator import mul
 
 from .graphs import (
     CapExceededError,
@@ -516,6 +518,23 @@ def _random_value_tuple(k: int, m: int, seed: int) -> tuple[int, ...]:
     return tuple(rng.randrange(1, FIXED_PRIME) for _ in block_universe(m, k))
 
 
+def _value_tuple(m: int, k: int, values: dict[tuple[int, ...], int]) -> tuple[int, ...]:
+    """``values`` in ``block_universe(m, k)`` order.  Raises ``ValueError``
+    unless m is an int >= k and every block has an int value: the sums are
+    exact, which a float breaks and a bool would silently join."""
+    if type(m) is not int:
+        raise ValueError(f"m must be an integer (got {m!r})")
+    if m < k:
+        raise ValueError("need m >= k")
+    blocks = block_universe(m, k)
+    for b in blocks:
+        if b not in values:
+            raise ValueError(f"value map is missing blocks, e.g. {b}")
+        if type(values[b]) is not int:
+            raise ValueError(f"value map has non-integer values, e.g. {b}: {values[b]!r}")
+    return tuple(values[b] for b in blocks)
+
+
 def direct_eval(
     g: SimpleGraph, k: int, m: int, values: dict[tuple[int, ...], int]
 ) -> int:
@@ -526,15 +545,10 @@ def direct_eval(
     used as the ground-truth oracle.
     """
     _check_k(k)
-    if m < k:
-        raise ValueError("need m >= k")
+    vals = [v % FIXED_PRIME for v in _value_tuple(m, k, values)]
     blocks = block_universe(m, k)
-    missing = [b for b in blocks if b not in values]
-    if missing:
-        raise ValueError(f"value map is missing blocks, e.g. {missing[0]}")
     sets = [set(b) for b in blocks]
     disjoint = [[not (sa & sb) for sb in sets] for sa in sets]
-    vals = [values[b] % FIXED_PRIME for b in blocks]
 
     total = 1
     for comp in graph_components(g):
@@ -571,18 +585,45 @@ def _component_blocks(form: str) -> tuple[int, tuple[tuple[int, ...], ...], int]
     return w, blocks, aut
 
 
+#: labellings per piece of index tables: 6!, one cached piece for any fingerprint
+TABLE_PIECE = 720
+
+
+@lru_cache(maxsize=1 << 9)
+def _block_table(w: int, m: int, a: int, b: int) -> array:
+    """``x * (m + 1) + y`` for the labels x, y of symbols a, b under each
+    injective labelling of w symbols into {1..m}, in ``permutations`` order;
+    one byte per entry while the index fits one."""
+    labellings = permutations(range(1, m + 1), w)
+    return array("B" if m < 15 else "I", [p[a] * (m + 1) + p[b] for p in labellings])
+
+
+def _table_pieces(w: int, m: int, pairs: list[tuple[int, int]]):
+    """One index table per symbol pair for each piece of the injective
+    labellings of w symbols into {1..m}: one cached piece when there are at
+    most ``TABLE_PIECE``, else streamed from one iterator, never stored whole."""
+    if perm(m, w) <= TABLE_PIECE:
+        yield [_block_table(w, m, a, b) for a, b in pairs]
+        return
+    labellings = permutations(range(1, m + 1), w)
+    while piece := list(islice(labellings, TABLE_PIECE)):
+        yield [[p[a] * (m + 1) + p[b] for p in piece] for a, b in pairs]
+
+
 @lru_cache(maxsize=1 << 12)
 def _orbit_sum(form: str, m: int, vals: tuple[int, ...]) -> int:
     """Orbit sum of one connected component class, modulo ``FIXED_PRIME``.
 
     ``vals`` holds the value of each block of ``block_universe(m, k)``, in
-    that order.  Sums the block-monomial over injective symbol labellings
-    into {1..m}, extending a labelling one symbol at a time with a running
-    product: a block is multiplied in when its last symbol is placed, so a
-    shared prefix is paid once.  The sum is an exact integer and is divided
-    by the automorphism count of the labelled component; the division is
-    exact (the automorphism group acts freely on injective labellings),
-    which doubles as a check on the count.
+    that order, laid out flat so that ``flat[x * (m + 1) + y]`` is the value
+    of the block {x, y} (of {x} at y = x when k = 1).  Sums the block
+    monomial over the injective symbol labellings into {1..m}: each block's
+    index table (``_table_pieces``) is mapped through ``flat``, and the
+    blocks' value streams are multiplied elementwise and summed, all at C
+    level.  The sum is an exact integer and is divided by the automorphism
+    count of the labelled component; the division is exact (the
+    automorphism group acts freely on injective labellings), which doubles
+    as a check on the count.
 
     Results are cached by (form, m, vals) in a bounded ``lru_cache`` of
     4096 entries, so a component evaluated at the same value map is summed
@@ -591,38 +632,27 @@ def _orbit_sum(form: str, m: int, vals: tuple[int, ...]) -> int:
     w, blocks, aut = _component_blocks(form)
     if w > m:
         return 0
-    # matrix[a][b] is the value of the block {a, b}; a k = 1 block {a} is matrix[a][a]
-    matrix = [[0] * (m + 1) for _ in range(m + 1)]
+    flat = [0] * (m + 1) ** 2
     for b, v in zip(block_universe(m, len(blocks[0])), vals):
-        matrix[b[0]][b[-1]] = matrix[b[-1]][b[0]] = v
-    # blocks by their last symbol, each named by its first (itself when k = 1)
-    partners: list[list[int]] = [[] for _ in range(w)]
-    for b in blocks:
-        partners[max(b)].append(min(b))
-    label = [0] * w
-    used = [False] * (m + 1)
-
-    def extend(s: int, running: int) -> int:
-        if s == w:
-            return running
-        total = 0
-        for x in range(1, m + 1):
-            if used[x]:
-                continue
-            label[s] = x
-            row = matrix[x]
-            p = running
-            for t in partners[s]:
-                p *= row[label[t]]
-            used[x] = True
-            total += extend(s + 1, p)
-            used[x] = False
-        return total
-
-    total = extend(0, 1)
+        flat[b[0] * (m + 1) + b[-1]] = flat[b[-1] * (m + 1) + b[0]] = v
+    total = 0
+    for tables in _table_pieces(w, m, [(b[0], b[-1]) for b in blocks]):
+        terms = map(flat.__getitem__, tables[0])
+        for table in tables[1:]:
+            terms = map(mul, terms, map(flat.__getitem__, table))
+        total += sum(terms)
     if total % aut:
         raise RuntimeError("orbit sum not divisible by automorphism count")
     return (total // aut) % FIXED_PRIME
+
+
+@lru_cache(maxsize=1 << 12)
+def _class_value(cls: PClass, m: int, vals: tuple[int, ...]) -> int:
+    """The product of a class's component orbit sums, modulo ``FIXED_PRIME``."""
+    prod = 1
+    for comp in cls:
+        prod = prod * _orbit_sum(comp, m, vals) % FIXED_PRIME
+    return prod
 
 
 def pseries_eval(series: PSeries, m: int, values: dict[tuple[int, ...], int]) -> int:
@@ -630,27 +660,15 @@ def pseries_eval(series: PSeries, m: int, values: dict[tuple[int, ...], int]) ->
 
     Each class evaluates to the product of its components' orbit sums; the
     series evaluates to the coefficient-weighted sum.  For a witness series
-    this equals ``direct_eval`` identically.  ``values`` needs a value for
-    every k-subset of {1..m}; it is read once into a tuple in
-    ``block_universe(m, k)`` order, which keys the orbit-sum cache of
-    ``_orbit_sum`` together with the component and m.
+    this equals ``direct_eval`` identically.  ``values`` needs an integer
+    value for every k-subset of {1..m}; it is read once into a tuple in
+    ``block_universe(m, k)`` order.  Class values are cached by (class, m,
+    tuple) in a bounded ``lru_cache`` of 4096 entries, so a class that many
+    series share is valued once per value map; the orbit sums under them
+    have a cache of their own.
     """
-    if m < series.k:
-        raise ValueError("need m >= k")
-    blocks = block_universe(m, series.k)
-    missing = [b for b in blocks if b not in values]
-    if missing:
-        raise ValueError(f"value map is missing blocks, e.g. {missing[0]}")
-    vals = tuple(values[b] for b in blocks)
-    total = 0
-    for cls, coeff in sorted(series.terms.items()):
-        prod = 1
-        for comp in cls:
-            prod = prod * _orbit_sum(comp, m, vals) % FIXED_PRIME
-            if prod == 0:
-                break
-        total = (total + coeff * prod) % FIXED_PRIME
-    return total % FIXED_PRIME
+    vals = _value_tuple(m, series.k, values)
+    return sum(c * _class_value(cls, m, vals) for cls, c in series.terms.items()) % FIXED_PRIME
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import (
-    VERTEX_CAP,
     CapExceededError,
     SimpleGraph,
     _centre_code,
+    _check_vertex_cap,
     _code_adjacency,
     _tree_code,
     _tree_form,
@@ -44,8 +44,7 @@ def _form_code(form: str) -> str | None:
     ``CapExceededError`` before any code is built: ``canonical_form`` could
     not name it."""
     n, pairs = parse_form(form)
-    if n > VERTEX_CAP:
-        raise CapExceededError(f"tree classes capped at {VERTEX_CAP} symbols (got {n})")
+    _check_vertex_cap(n, "tree classes")
     return _tree_code(n, pairs) if all(len(p) == 2 for p in pairs) else None
 
 

@@ -15,6 +15,7 @@ from kneserchrom import (
     canonical_graph6,
     collide_search,
     direct_eval,
+    enumerate_graphs,
     enumerate_trees,
     fingerprint,
     kneser_psum,
@@ -49,6 +50,23 @@ def test_fingerprint_ms_cover_k_to_six():
     assert len(fp.residues) == len(fp.ms)
     fp1 = fingerprint(kneser_psum(P4, 1))
     assert fp1.ms == tuple(range(1, 7))
+
+
+def test_fingerprints_of_small_graphs_frozen():
+    # sha256 over every fingerprint of k = 1 (n <= 6) then k = 2 (n <= 5)
+    # series, in enumeration order, witness before indicator, seeds 1, 2, 3;
+    # recorded from the recursive orbit-sum kernel and the uncached sum
+    digest = hashlib.sha256()
+    for k, n_max in ((1, 6), (2, 5)):
+        for n in range(1, n_max + 1):
+            for g in enumerate_graphs(n):
+                for coeffs in ("witness", "indicator"):
+                    series = kneser_psum(g, k, coeffs=coeffs)
+                    for seed in (1, 2, 3):
+                        digest.update(repr(fingerprint(series, seed)).encode())
+    assert digest.hexdigest() == (
+        "b1d06a2790cc07aaa5b86a4b4c298e51c896d5af99e0e761e724929d03e5723a"
+    )
 
 
 def test_fingerprints_separate_small_trees():

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations
 from math import perm
@@ -325,6 +326,17 @@ def test_evaluation_rejects_missing_blocks():
     assert random_values(2, 4, seed=1).keys() == set(block_universe(4, 2))
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+def test_evaluation_rejects_non_integer_values(bad):
+    series = kneser_psum(P3, 2)
+    vals = random_values(2, 5, seed=1)
+    vals[(2, 4)] = bad
+    for evaluate in (pseries_eval, lambda s, m, v: direct_eval(P3, 2, m, v)):
+        with pytest.raises(ValueError) as exc:
+            evaluate(series, 5, vals)
+        assert str(exc.value) == f"value map has non-integer values, e.g. (2, 4): {bad!r}"
+
+
 def test_orbit_sum_kernel_matches_brute_oracle():
     forms = {
         comp
@@ -355,6 +367,50 @@ def test_orbit_sum_kernel_matches_brute_oracle():
     assert _orbit_sum.cache_info().hits == hits + 2
     assert first[0] != first[1]
     assert again == first == [brute_orbit_sum(w, blocks, 5, v) % FIXED_PRIME for v in maps]
+
+
+def test_orbit_sum_kernel_past_one_piece():
+    # 7 and 8 symbols into 7 and 8 take 5040 to 40320 labellings, streamed
+    # in pieces of TABLE_PIECE; the first and last component of each size
+    p7 = SimpleGraph.from_edges(7, [(i, i + 1) for i in range(6)])
+    comps = sorted({comp for cls in kneser_psum(p7, 2).terms for comp in cls})
+    for w in (7, 8):
+        sized = [comp for comp in comps if parse_form(comp)[0] == w]
+        for form in (sized[0], sized[-1]):
+            _, blocks = parse_form(form)
+            for m in (7, 8):
+                vals = random_values(2, m, seed=9)
+                key = tuple(vals[b] for b in block_universe(m, 2))
+                expected = brute_orbit_sum(w, blocks, m, vals) % FIXED_PRIME
+                assert _orbit_sum(form, m, key) == expected, (form, m)
+
+
+def test_orbit_sum_memory_stays_bounded_past_the_table_cap():
+    # the path on 8 symbols at m = 9: 362 880 labellings, about 40 MB held
+    # whole; streamed, one piece of 720 and its tables stays under 1 MB
+    form = "8:[[0,2],[1,3],[2,4],[3,5],[4,6],[5,7],[6,7]]"
+    aut = kneser._component_blocks(form)[2]
+    ones = tuple(1 for _ in block_universe(9, 2))
+    tracemalloc.start()
+    try:
+        value = _orbit_sum(form, 9, ones)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == perm(9, 8) // aut
+    assert peak < 1 << 20, peak
+
+
+def test_class_values_are_cached_per_value_map():
+    series = kneser_psum(STAR3, 2)
+    maps = [random_values(2, 5, seed) for seed in (7, 8)]
+    kneser._class_value.cache_clear()
+    first = [pseries_eval(series, 5, v) for v in maps]
+    assert kneser._class_value.cache_info().currsize == 2 * len(series.terms)
+    again = [pseries_eval(series, 5, v) for v in maps]
+    assert kneser._class_value.cache_info().hits == 2 * len(series.terms)
+    assert first[0] != first[1]
+    assert again == first == [direct_eval(STAR3, 2, 5, v) for v in maps]
 
 
 def test_k1_partition_route_equals_subset_route():
@@ -705,6 +761,13 @@ def test_lambda_t_counts_against_series_support():
             assert lambda_t(t) == via_series
 
 
+def test_tree_class_above_the_vertex_cap_is_refused():
+    path15 = "15:" + json.dumps([[i, i + 1] for i in range(14)], separators=(",", ":"))
+    with pytest.raises(CapExceededError) as exc:
+        _form_code(path15)
+    assert str(exc.value) == "tree classes capped at 14 vertices (got 15)"
+
+
 def test_lambda_t_of_every_tree_up_to_the_cap():
     # sha256 over the sorted tree classes of every tree with n <= 9, in
     # enumeration order (2694 classes); the digest was recorded from the
@@ -816,8 +879,17 @@ def test_lambda_t_tilde_of_every_small_graph_keeps_least_profiles():
         (lambda: PSeries.from_json("[1]"), "series payload must be a JSON object"),
         (lambda: direct_eval(P3, 2, 1, {}), "need m >= k"),
         (lambda: pseries_eval(kneser_psum(P3, 2), 1, {}), "need m >= k"),
+        (lambda: direct_eval(P3, 1, 4.0, {}), "m must be an integer (got 4.0)"),
+        (lambda: pseries_eval(kneser_psum(P3, 1), True, {}), "m must be an integer (got True)"),
     ],
-    ids=["psum-empty", "payload-not-object", "direct-eval-m-below-k", "pseries-eval-m-below-k"],
+    ids=[
+        "psum-empty",
+        "payload-not-object",
+        "direct-eval-m-below-k",
+        "pseries-eval-m-below-k",
+        "direct-eval-m-float",
+        "pseries-eval-m-bool",
+    ],
 )
 def test_series_refusals(call, message):
     with pytest.raises(ValueError) as exc:
