@@ -179,8 +179,8 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
     isomorphism.
     Refuses an ``n_max`` above ``LAMBDA_T_CAP`` before any tree.
     """
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
+    if type(n_max) is not int or n_max < 1:  # True == 1, but is no bound
+        raise ValueError("need an integer n_max >= 1")
     _check_tree_cap(n_max, "tree verification")
     records: list[dict] = []
     class_sets: dict[frozenset, str] = {}
@@ -260,8 +260,8 @@ def collide_search(
     An ``n_max`` above ``PSUM_VERTEX_CAP``, or (k = 2) with K_{n_max} above
     ``PSUM_SUBSET_CAP``, raises ``CapExceededError`` before any series.
     """
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
+    if type(n_max) is not int or n_max < 1:  # True == 1, but is no bound
+        raise ValueError("need an integer n_max >= 1")
     # K_{n_max} has the most vertices and edges of any graph searched
     _check_series_args(n_max, n_max * (n_max - 1) // 2, k, "witness", "collision search")
     collisions: list[dict] = []

@@ -242,19 +242,23 @@ def _refinement_classes(n: int, mat: list[list[int]]) -> list[list[int]]:
     Vertices start in one colour and are refined by the multiset of (edge
     multiplicity, neighbour colour) pairs until the partition stops
     splitting, so the first round colours them by their multiplicity-weighted
-    degree signature.  The classes are read off the last round's signatures
-    in sorted order, which does not depend on the input labelling.
+    degree signature.  Colours are ranks of signatures in sorted order,
+    which does not depend on the input labelling.  A round that does not
+    split keeps each class's rank, since its colour leads its signature, so
+    the classes are read off the last colours; n colours cannot split.
     """
+    # the pair (m, colour c) is read as m * n + c, which orders pairs alike
+    nbrs = [[(mat[v][w] * n, w) for w in range(n) if mat[v][w]] for v in range(n)]
     color = [0] * n
-    while True:
-        sig = [
-            (color[v], tuple(sorted((mat[v][w], color[w]) for w in range(n) if mat[v][w])))
-            for v in range(n)
-        ]
-        order = sorted(set(sig))
-        if len(order) == len(set(color)):
-            return [[v for v in range(n) if sig[v] == s] for s in order]
-        color = [order.index(s) for s in sig]
+    count = 1
+    while count < n:
+        sig = [(color[v], tuple(sorted([m + color[w] for m, w in nbrs[v]]))) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        if len(rank) == count:
+            break
+        color = [rank[s] for s in sig]
+        count = len(rank)
+    return [[v for v in range(n) if color[v] == c] for c in range(count)]
 
 
 def _canonical_edge_list(n: int, weighted_edges) -> tuple[list[list[int]], int]:

@@ -15,8 +15,11 @@ globally (ties are broken by vertex label to fix one witness order).
 r(T) = min over all vertices v of r(T, v); the vertices attaining the
 minimum are the *minimum leaves* of T (for n >= 2 they are always leaves:
 rooting at a leaf starts the sequence with degree 1, which beats any
-internal root).  So r(T) and the minimum leaves both come from one pass
-that roots only at the leaves (at the sole vertex when n = 1).  These
+internal root).  Two leaves with one neighbour are swapped by an
+automorphism, so they have equal sequences.  So r(T) and the minimum leaves
+come from one pass that roots one leaf per neighbour (the sole vertex when
+n = 1), stopping each rooting once it exceeds the least sequence so far;
+the minimum leaves are all leaves of the neighbours that attain it.  These
 profiles are the carrier of the tree-reconstruction argument implemented
 in ``kneserchrom.reconstruct``.
 """
@@ -94,28 +97,60 @@ def min_rooted_degree_sequence(g: SimpleGraph, root: int) -> DegreeProfile:
 
 
 def _minimum_rootings(g: SimpleGraph) -> tuple[RootedOrder, ...]:
-    """The rooted orders attaining r(T), by root label, from one pass over
-    the leaf roots.
-
-    An internal root never attains r(T) (see the module docstring), so only
-    vertices of degree at most 1 are tried: the leaves, or the sole vertex
-    of the one-vertex tree.
-    """
-    return _adjacency_rootings(_tree_lists(g))
-
-
-def _adjacency_rootings(adj: list[list[int]]) -> tuple[RootedOrder, ...]:
-    """``_minimum_rootings`` of a tree given by its adjacency lists, which
-    are trusted to describe a tree on at least one vertex."""
+    """The rooted orders attaining r(T), by root label."""
+    adj = _tree_lists(g)
     deg = [len(a) for a in adj]
-    rootings = [_rooted_order(adj, deg, v) for v in range(len(adj)) if deg[v] <= 1]
-    best = min(ro.profile for ro in rootings)
-    return tuple(ro for ro in rootings if ro.profile == best)
+    return tuple(_rooted_order(adj, deg, v) for v in _least_leaves(adj)[1])
+
+
+def _least_leaves(adj: list[list[int]]) -> tuple[DegreeProfile, tuple[int, ...]]:
+    """r(T) and the minimum leaves, by label, of a tree given by its
+    adjacency lists, which are trusted to describe a tree on at least one
+    vertex; one leaf per neighbour is rooted (see the module docstring)."""
+    deg = [len(a) for a in adj]
+    # leaf -> its neighbour; the one-vertex tree's sole vertex is its own
+    leaves = {v: adj[v][0] if adj[v] else v for v in range(len(adj)) if deg[v] <= 1}
+    # a leaf's sequence opens with 1 and its neighbour's degree
+    least = min(deg[w] for w in leaves.values())
+    first: dict[int, int] = {}  # neighbour of least degree -> its least leaf
+    for v, w in leaves.items():
+        if deg[w] == least:
+            first.setdefault(w, v)
+    best: list[int] = []
+    winners: set[int] = set()
+    for w, v in first.items():
+        seq = _layer_degrees(adj, deg, v, best)
+        if seq is None:
+            continue
+        if seq != best:
+            best, winners = seq, set()
+        winners.add(w)
+    return tuple(best), tuple(v for v, w in leaves.items() if w in winners)
+
+
+def _layer_degrees(
+    adj: list[list[int]], deg: list[int], root: int, bound: list[int]
+) -> list[int] | None:
+    """The degrees along the layer-sorted sequence at ``root``, or None as
+    soon as a prefix of it exceeds a non-empty ``bound``."""
+    seen = [False] * len(adj)
+    seen[root] = True
+    seq: list[int] = []
+    layer = [root]
+    while layer:
+        seq += sorted([deg[v] for v in layer])
+        if bound and seq > bound[: len(seq)]:
+            return None
+        # in a tree each vertex of the next layer has one neighbour in this one
+        layer = [w for v in layer for w in adj[v] if not seen[w]]
+        for w in layer:
+            seen[w] = True
+    return seq
 
 
 def min_degree_sequence(g: SimpleGraph) -> DegreeProfile:
     """r(T) = min over all roots of r(T, root)."""
-    return _minimum_rootings(g)[0].profile
+    return _least_leaves(_tree_lists(g))[0]
 
 
 def minimum_leaves(g: SimpleGraph) -> tuple[int, ...]:
@@ -123,4 +158,4 @@ def minimum_leaves(g: SimpleGraph) -> tuple[int, ...]:
 
     For n >= 2 these are leaves; for the one-vertex tree the sole vertex.
     """
-    return tuple(ro.order[0] for ro in _minimum_rootings(g))
+    return _least_leaves(_tree_lists(g))[1]

@@ -17,14 +17,13 @@ from functools import lru_cache
 from .graphs import (
     CapExceededError,
     SimpleGraph,
-    _centre_code,
     _check_vertex_cap,
     _code_adjacency,
     _tree_code,
     _tree_form,
     parse_form,
 )
-from .profiles import _adjacency_rootings
+from .profiles import _least_leaves
 
 #: tree-class extraction for a tree is capped here
 LAMBDA_T_CAP = 9
@@ -96,38 +95,42 @@ def _lambda_t_codes(g: SimpleGraph) -> frozenset[str] | None:
     subtree's shape, so ``_hangs`` caches it by the subtree's rooted code in
     a bounded ``lru_cache`` of 4096 entries; all 95 trees inside the cap
     need only 24 rooted shapes.  The root's pairs, the largest sets, are
-    computed uncached.  Each root pair names the symbol tree rooted at the
-    edge {0, 1}; ``_centre_rooted`` re-roots it at its centre, so one code
-    names one class.  Raises ``CapExceededError`` for a tree above
+    computed uncached, and since the root block's two symbols are
+    interchangeable each unordered pair of sides is kept once.  A root pair
+    names the symbol tree rooted at one symbol of {0, 1}, the other its last
+    child; ``_centre_rooted`` re-roots that code in place at its centre, so
+    one code names one class.  Raises ``CapExceededError`` for a tree above
     ``LAMBDA_T_CAP`` vertices.
     """
     code = _tree_code(g.n, g.edges)
     if code is None:
         return None
     _check_tree_cap(g.n, "tree-class extraction")
-    codes = set()
-    for a, b in _side_pairs(_code_children(code)):
-        # the lesser side roots the code, so a pair and its mirror agree
-        x, y = sorted(("(" + "".join(a) + ")", "(" + "".join(b) + ")"))
-        codes.add(x[:-1] + y + ")")
-    return frozenset(map(_centre_rooted, codes))
+    return frozenset(
+        _centre_rooted("(" + "".join(a) + "(" + "".join(b) + "))")
+        for a, b in _side_pairs(_code_children(code), mirrored=True)
+    )
 
 
-def _side_pairs(child_codes: list[str]) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
+def _side_pairs(
+    child_codes: list[str], mirrored: bool = False
+) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
     """Below a vertex with block {shared, new} whose children have the
     rooted codes ``child_codes``: every (codes hanging at new, codes hanging
     at shared) that some fill of the subtrees yields, each side sorted.
 
     Each child takes one of the two symbols as its own shared symbol and
-    hangs there what ``_hangs`` says it can."""
+    hangs there what ``_hangs`` says it can.  Both choices are open to
+    every child, so a pair's mirror is reachable whenever the pair is; with
+    ``mirrored`` each pair is kept once, as (lesser side, greater side)."""
     pairs = {((), ())}
     for child in child_codes:
         hangs = _hangs(child)
         pairs = {
-            pair
+            (a, b) if not mirrored or a <= b else (b, a)
             for new, shared in pairs
             for h in hangs
-            for pair in (
+            for a, b in (
                 (tuple(sorted(new + h)), shared),
                 (new, tuple(sorted(shared + h))),
             )
@@ -149,9 +152,37 @@ def _hangs(code: str) -> frozenset[tuple[str, ...]]:
 
 @lru_cache(maxsize=1 << 14)
 def _centre_rooted(code: str) -> str:
-    """The centre-rooted code of the tree a rooted AHU code names, cached
-    in a bounded ``lru_cache`` of 16 384 entries."""
-    return _centre_code(_code_adjacency(code))
+    """The centre-rooted code of the tree a rooted AHU code names, re-rooted
+    in place.  Every subtree below the root must be canonical; the root's
+    children may come in any order.
+
+    From the root, the walk steps into a tallest branch, the least code,
+    while that branch is taller than the rest of the tree hanging at the
+    vertex: then every vertex outside the branch is farther from its
+    deepest vertex than the branch's root is from any vertex.  When the two
+    are equally tall, the vertex and the branch's root are the two centres,
+    and the lesser rooted code is taken, as ``graphs._centre_code`` does;
+    when the rest is taller, the vertex is the one centre.  Only codes on
+    the path are rebuilt, by sorted joins of canonical codes.  At
+    ``LAMBDA_T_CAP`` this bounded ``lru_cache`` of 16 384 holds the 523
+    rooted codes of the tree classes of all 95 trees."""
+    branches = sorted(_code_children(code))
+    while branches:
+        top, rest = branches[0], "(" + "".join(branches[1:]) + ")"
+        gap = _height(top) - _height(rest)
+        if gap < 0:
+            break
+        below = sorted(_code_children(top) + [rest])
+        if gap == 0:
+            return min("(" + "".join(branches) + ")", "(" + "".join(below) + ")")
+        branches = below
+    return "(" + "".join(branches) + ")"
+
+
+def _height(code: str) -> int:
+    """The height of the rooted tree a canonical code names: its first
+    child is a tallest, so the code opens with height + 1 brackets."""
+    return len(code) - len(code.lstrip("(")) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +197,9 @@ def _code_profile(code: str) -> tuple[int, ...]:
 
     Profiles are isomorphism-invariant, so the code's preorder numbering
     serves.  Cached by code in a bounded ``lru_cache`` of 4096 entries, so
-    each distinct tree is profiled once per process."""
-    return _adjacency_rootings(_code_adjacency(code))[0].profile
+    each distinct tree is profiled once per process; at ``LAMBDA_T_CAP`` it
+    holds the 200 tree classes of all 95 trees."""
+    return _least_leaves(_code_adjacency(code))[0]
 
 
 def _minimal_tree_classes(codes) -> tuple[TreeClasses, tuple[int, ...]]:

@@ -4,8 +4,9 @@ Everything here is deliberately naive: plain exhaustive enumeration and
 textbook recursions, sharing no code with the library under test except
 ``canonical_form`` and ``lambda_class``, which name isomorphism classes of
 graphs and of block multisets (``test_graphs`` checks them against the tree
-code and by relabelling).  Slow but obviously correct at the sizes the
-tests use.  The last section is the exception: test-only views of the
+code and by relabelling), and ``every_leaf_rootings``, which roots with the
+package's ``profiles._rooted_order``.  Slow but obviously correct at the
+sizes the tests use.  The last section is the exception: test-only views of the
 series internals, which the package itself never needs.
 """
 
@@ -25,6 +26,7 @@ from kneserchrom import (
     is_connected,
     kneser,
     lambda_class,
+    profiles,
 )
 
 
@@ -161,6 +163,28 @@ def brute_min_profile(n, edges, root):
         if best is None or profile < best:
             best = profile
     return best
+
+
+def every_leaf_rootings(adj):
+    """The least rooted orders of a tree given by adjacency lists, rooted at
+    every vertex of degree at most 1, keeping those of least profile, by
+    label.  Each rooting is the package's ``profiles._rooted_order``, which
+    ``test_profiles`` checks against ``brute_min_profile``: only the choice
+    of roots (one leaf per neighbour, with an early stop) is under test."""
+    deg = [len(a) for a in adj]
+    rootings = [profiles._rooted_order(adj, deg, v) for v in range(len(adj)) if deg[v] <= 1]
+    best = min(ro.profile for ro in rootings)
+    return tuple(ro for ro in rootings if ro.profile == best)
+
+
+def rooted_code(adj, root):
+    """The AHU code of a tree given by adjacency lists, rooted at ``root``:
+    each vertex's children's codes sorted and wrapped in one bracket pair."""
+
+    def code(v, parent):
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return code(root, -1)
 
 
 def reference_search_order(n, edges):

@@ -295,8 +295,10 @@ def test_verify_trees_searches_each_distinct_tree_once(monkeypatch):
     assert set(searched) == named
 
 def test_verify_trees_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        verify_trees(0)
+    # True == 1, but a bool is not a vertex count
+    for bound in (0, True, 2.0, "3"):
+        with pytest.raises(ValueError, match="need an integer n_max >= 1"):
+            verify_trees(bound)
 
 
 def test_verify_trees_refuses_above_lambda_t_cap_before_any_tree(monkeypatch):
@@ -422,8 +424,9 @@ def test_collide_search_uses_cache(tmp_path):
 
 
 def test_collide_search_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        collide_search(0, 2)
+    for bound in (0, True, 2.0, "3"):
+        with pytest.raises(ValueError, match="need an integer n_max >= 1"):
+            collide_search(bound, 1)
 
 
 def test_collide_search_k2_refuses_seven_vertices_before_any_series(monkeypatch):

@@ -9,7 +9,12 @@ import random
 import networkx as nx
 import pytest
 
-from oracles import brute_automorphism_count, brute_canonical_edge_list, labelled_trees
+from oracles import (
+    brute_automorphism_count,
+    brute_canonical_edge_list,
+    labelled_trees,
+    rooted_code,
+)
 
 from kneserchrom import (
     CapExceededError,
@@ -34,8 +39,15 @@ from kneserchrom import (
     singleton_class_string,
 )
 from kneserchrom import graphs
-from kneserchrom.graphs import _canonical_edge_list, _code_adjacency, _tree_code
+from kneserchrom.graphs import (
+    _canonical_edge_list,
+    _centre_code,
+    _code_adjacency,
+    _tree_adjacency,
+    _tree_code,
+)
 from kneserchrom.kneser import _component_weights
+from kneserchrom.trees import _centre_rooted, _code_children
 
 
 def test_simple_graph_construction():
@@ -205,6 +217,19 @@ def test_tree_code_agrees_with_canonical_form():
 
 
 
+def test_centre_rooted_equals_decoded_centre_code():
+    # the in-place re-rooting against decoding and peeling leaves, at every
+    # root of every tree with n <= 10; a tree-class code has its root's last
+    # child out of order, so each code is also tried with that list reversed
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            adj = _tree_adjacency(n, t.edges)
+            for root in range(n):
+                code = rooted_code(adj, root)
+                for c in (code, "(" + "".join(_code_children(code)[::-1]) + ")"):
+                    assert _centre_rooted(c) == _centre_code(_code_adjacency(c)), c
+
+
 def test_tree_code_refuses_non_trees():
     # n - 1 edges with a cycle: the leaf peeling used to loop forever here
     for n, edges in [
@@ -307,13 +332,13 @@ def test_automorphism_count_on_component_classes():
 
 
 def test_canonical_search_matches_unpruned_reference():
-    # every graph with n <= 6, every tree with n <= 9 and every component
+    # every graph with n <= 6, every tree with n <= 10 and every component
     # class, each in its own labelling and in one seeded relabelling
     rng = random.Random(19)
     cases = [(g.n, g.sorted_edges()) for n in range(1, 7) for g in enumerate_graphs(n)]
-    cases += [(t.n, t.sorted_edges()) for n in range(1, 10) for t in enumerate_trees(n)]
+    cases += [(t.n, t.sorted_edges()) for n in range(1, 11) for t in enumerate_trees(n)]
     cases += [parse_form(form) for form in _component_classes()]
-    assert len(cases) == 208 + 95 + 53
+    assert len(cases) == 208 + 201 + 53
     for n, pairs in cases:
         perm = list(range(n))
         rng.shuffle(perm)
@@ -324,6 +349,15 @@ def test_canonical_search_matches_unpruned_reference():
         if n <= 7:  # all n! permutations are cheap enough
             assert expected[1] == brute_automorphism_count(n, pairs), (n, pairs)
 
+
+def test_refinement_keeps_multiplicity_before_colour():
+    # the refinement compares (multiplicity, colour) pairs; read as their sum
+    # instead, pairs such as (2, 0) and (1, 1) would tie, this multigraph
+    # would split into other classes, and its least edge list would change
+    weighted = (
+        ((0, 1), 2), ((0, 3), 3), ((0, 4), 1), ((1, 3), 3), ((1, 4), 3), ((2, 3), 2), ((2, 4), 1)
+    )
+    assert _canonical_edge_list(5, weighted) == brute_canonical_edge_list(5, weighted)
 
 def test_relabel_and_induced_subgraph():
     g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])

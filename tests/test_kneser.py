@@ -72,7 +72,7 @@ from kneserchrom.kneser import (
     _psum_subsets,
     _search_order,
 )
-from kneserchrom.trees import _form_code
+from kneserchrom.trees import _form_code, _lambda_t_codes
 
 K2 = SimpleGraph.from_edges(2, [(0, 1)])
 P3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
@@ -773,12 +773,18 @@ def test_lambda_t_of_every_tree_up_to_the_cap():
     # enumeration order (2694 classes); the digest was recorded from the
     # earlier route that tested every free tree on n + 1 vertices for
     # admissibility, so it pins the dynamic programme over the tree code to it
-    digest = hashlib.sha256()
+    # the second digest, over their sorted centre-rooted codes, was recorded
+    # when the codes were still re-rooted by decoding and peeling leaves
+    digest, codes = hashlib.sha256(), hashlib.sha256()
     for n in range(1, 10):
         for t in enumerate_trees(n):
             digest.update(repr(sorted(lambda_t(t))).encode())
+            codes.update(repr(sorted(_lambda_t_codes(t))).encode())
     assert digest.hexdigest() == (
         "78c0ae7cf51c9c38504b02505315d0076d1d8800d3ea6882d15d747e92f39cc1"
+    )
+    assert codes.hexdigest() == (
+        "1be24555e2a52e260a7d5918f02e2746b1be071cbe535b75349b735adef9e7e6"
     )
     path10 = SimpleGraph.from_edges(10, [(i, i + 1) for i in range(9)])
     with pytest.raises(CapExceededError):

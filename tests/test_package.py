@@ -57,8 +57,8 @@ def test_tree_code_helpers_stay_in_graphs_and_trees():
 
 
 def test_centre_code_has_one_builder():
-    # codes are built by graphs._tree_code; trees._centre_rooted re-roots a
-    # rooted code it decoded, and nothing else calls _centre_code
+    # codes are built from adjacency lists by graphs._tree_code alone;
+    # trees._centre_rooted re-roots a code it already holds without decoding
     callers = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -71,7 +71,7 @@ def test_centre_code_has_one_builder():
                     and getattr(node.func, "id", getattr(node.func, "attr", None))
                     == "_centre_code"
                 ]
-    assert sorted(callers) == ["graphs._tree_code", "trees._centre_rooted"]
+    assert callers == ["graphs._tree_code"]
 
 
 #: modules that refuse oversized input only through the owning module's checks

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import brute_min_profile
+from oracles import brute_min_profile, every_leaf_rootings
 
 from kneserchrom import (
     CapExceededError,
@@ -18,7 +18,7 @@ from kneserchrom import (
     rooted_order,
 )
 from kneserchrom import profiles
-from kneserchrom.graphs import _tree_code
+from kneserchrom.graphs import _tree_adjacency, _tree_code
 from kneserchrom.trees import _code_profile
 
 
@@ -131,3 +131,13 @@ def test_code_profile_equals_min_degree_sequence():
         for t in enumerate_trees(n):
             for h in (t, relabel(t, list(range(n))[::-1])):
                 assert _code_profile(_tree_code(n, h.edges)) == min_degree_sequence(h)
+
+
+def test_rootings_of_one_leaf_per_neighbour_equal_every_leaf_rootings():
+    # orders, parent positions and profiles, in the enumerated labelling and
+    # in its reverse: the pruned roots lose no minimum leaf and add none
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            for h in (t, relabel(t, list(range(n))[::-1])):
+                expected = every_leaf_rootings(_tree_adjacency(n, h.edges))
+                assert profiles._minimum_rootings(h) == expected, h
