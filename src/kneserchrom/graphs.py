@@ -20,10 +20,11 @@ inputs and the search stays tractable on the small, mostly rigid graphs
 this package works with.  The same search counts automorphisms
 (``automorphism_count``).  Trees are looked up by their centre-rooted AHU
 code first, so each distinct tree is searched once.  This module holds the
-one code builder (``_tree_code``) and the one decoder (``_code_adjacency``);
-every other algorithm on tree codes lives in ``trees.py``, and every
-connectivity question goes through ``_bfs``.  Hard vertex caps, a tighter
-one for non-trees, keep accidental huge inputs from hanging the process.
+one code builder (``_tree_code``), the one centre rule (``_centre_rooted``)
+and the one decoder (``_code_adjacency``); every other algorithm on tree
+codes lives in ``trees.py``, and every connectivity question goes through
+``_bfs``.  Hard vertex caps, a tighter one for non-trees, keep accidental
+huge inputs from hanging the process.
 """
 
 from __future__ import annotations
@@ -360,9 +361,8 @@ def _canonical_form_cached(n: int, weighted_edges: tuple) -> tuple[str, int]:
     ``CapExceededError`` before its search.  The bound of 16384 entries sits
     far above the few hundred that tree verification or a collision search
     to n = 5 holds."""
-    if len(weighted_edges) == n - 1 and all(mult == 1 for _, mult in weighted_edges):
-        code = _tree_code(n, [pair for pair, _ in weighted_edges])
-        if code is not None:
+    if all(mult == 1 for _, mult in weighted_edges):
+        if (code := _tree_code(n, [pair for pair, _ in weighted_edges])) is not None:
             return _tree_form(code)
     if n > NONTREE_VERTEX_CAP:
         raise CapExceededError(
@@ -439,55 +439,73 @@ def automorphism_count(g: SimpleGraph | Multigraph) -> int:
 def _tree_adjacency(n: int, edges) -> list[list[int]] | None:
     """Adjacency lists of the graph on 0..n-1, or None unless it is a tree
     (n >= 1, n - 1 edges, connected)."""
-    if n < 1:
+    edges = list(edges)
+    if n < 1 or len(edges) != n - 1 or not all(0 <= u < n and 0 <= v < n for u, v in edges):
         return None
     adj: list[list[int]] = [[] for _ in range(n)]
-    count = 0
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            return None
         adj[u].append(v)
         adj[v].append(u)
-        count += 1
-    if count != n - 1:
-        return None
     return adj if len(_bfs(adj, 0, [False] * n)) == n else None
 
 
-def _centre_code(adj: list[list[int]]) -> str:
-    """AHU code (Aho, Hopcroft and Ullman) of a tree given by its adjacency
-    lists, rooted at its centre.
-
-    Leaves are peeled layer by layer until the one or two centre vertices
-    remain; with two centres the lesser rooted code is taken.  A rooted
-    code names the rooted tree exactly and isomorphisms map centres to
-    centres, so two trees get the same code exactly when they are
-    isomorphic."""
-    n = len(adj)
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] <= 1]
-    left = n
-    while left > 2:
-        left -= len(layer)
-        peeled = []
-        for v in layer:
-            for w in adj[v]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    peeled.append(w)
-        layer = peeled
-
-    def code(v: int, parent: int) -> str:
-        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
-
-    return min(code(c, -1) for c in layer)
+def _rooted_code(adj: list[list[int]], v: int, parent: int = -1) -> str:
+    """AHU code (Aho, Hopcroft and Ullman) of a tree's adjacency lists rooted at ``v``."""
+    return "(" + "".join(sorted(_rooted_code(adj, w, v) for w in adj[v] if w != parent)) + ")"
 
 
 def _tree_code(n: int, edges) -> str | None:
     """The centre-rooted code of the graph with these edges on 0..n-1, or
-    None unless it is a tree."""
+    None unless it is a tree; two trees share a code exactly when isomorphic."""
     adj = _tree_adjacency(n, edges)
-    return None if adj is None else _centre_code(adj)
+    return None if adj is None else _centre_rooted(_rooted_code(adj, 0))
+
+
+@lru_cache(maxsize=1 << 14)
+def _centre_rooted(code: str) -> str:
+    """The centre-rooted code of the tree a rooted AHU code names, re-rooted
+    in place; the package's one centre rule.  Every subtree below the root
+    must be canonical; the root's children may come in any order.
+
+    From the root, the walk steps into a tallest branch, the least code,
+    while that branch is taller than the rest of the tree hanging at the
+    vertex: then every vertex outside the branch is farther from its
+    deepest vertex than the branch's root is from any vertex.  When the two
+    are equally tall, the vertex and the branch's root are the two centres,
+    and the lesser rooted code is taken; when the rest is taller, the vertex
+    is the one centre.  Only codes on the path are rebuilt, by sorted joins
+    of canonical codes.  This bounded ``lru_cache`` of 16 384 serves
+    ``_tree_code`` and ``trees._lambda_t_codes``: it holds 688 entries after
+    ``verify_trees(9, witness=True)`` and 11 421 after ``enumerate_trees(14)``."""
+    branches = sorted(_code_children(code))
+    while branches:
+        top, rest = branches[0], "(" + "".join(branches[1:]) + ")"
+        gap = _height(top) - _height(rest)
+        if gap < 0:
+            break
+        below = sorted(_code_children(top) + [rest])
+        if gap == 0:
+            return min("(" + "".join(branches) + ")", "(" + "".join(below) + ")")
+        branches = below
+    return "(" + "".join(branches) + ")"
+
+
+def _height(code: str) -> int:
+    """The height of the rooted tree a canonical code names: its first
+    child is a tallest, so the code opens with height + 1 brackets."""
+    return len(code) - len(code.lstrip("(")) - 1
+
+
+def _code_children(code: str) -> list[str]:
+    """The codes of the root's children in a rooted AHU code, left to right."""
+    children: list[str] = []
+    depth, start = 0, 1
+    for i in range(1, len(code) - 1):
+        depth += 1 if code[i] == "(" else -1
+        if depth == 0:
+            children.append(code[start : i + 1])
+            start = i + 1
+    return children
 
 
 def _code_adjacency(code: str) -> list[list[int]]:
@@ -507,16 +525,26 @@ def _code_adjacency(code: str) -> list[list[int]]:
     return adj
 
 
+def _are_vertices(n: int, vertices: list) -> bool:
+    """Whether ``vertices`` are distinct ints in 0..n-1; a bool is none."""
+    return len({v for v in vertices if type(v) is int and 0 <= v < n}) == len(vertices)
+
+
 def relabel(g: SimpleGraph, perm: dict[int, int] | list[int]) -> SimpleGraph:
-    """Apply a vertex bijection (``perm[v]`` = new label of ``v``)."""
-    if isinstance(perm, list):
-        perm = {v: perm[v] for v in range(g.n)}
+    """Apply a vertex bijection (``perm[v]`` = new label of ``v``), given as
+    a list or a dict; ``ValueError`` unless it maps 0..n-1 onto itself."""
+    perm = dict(perm.items() if isinstance(perm, dict) else enumerate(perm))
+    if set(perm) != set(range(g.n)) or not _are_vertices(g.n, list(perm.values())):
+        raise ValueError(f"relabelling is not a bijection of 0..{g.n - 1}")
     return SimpleGraph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
 def induced_subgraph(g: SimpleGraph, vertices: list[int]) -> SimpleGraph:
-    """Induced subgraph relabelled onto 0..len(vertices)-1 in sorted order."""
+    """Induced subgraph relabelled onto 0..len(vertices)-1 in sorted order;
+    ``ValueError`` unless the vertices are distinct and in range."""
     vs = sorted(vertices)
+    if not _are_vertices(g.n, vs):
+        raise ValueError(f"induced subgraph needs distinct vertices in 0..{g.n - 1}")
     index = {v: i for i, v in enumerate(vs)}
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
     return SimpleGraph.from_edges(len(vs), edges)

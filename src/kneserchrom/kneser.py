@@ -800,6 +800,13 @@ def true_basis(series: PSeries) -> dict[PClass, int]:
 # ---------------------------------------------------------------------------
 
 
+def _tree_class_codes(g: SimpleGraph) -> frozenset[str]:
+    """Centre-rooted codes of the k = 2 tree classes of G: read off a tree
+    directly, else filtered from the full series."""
+    codes = _lambda_t_codes(g)
+    return _series_tree_codes(kneser_psum(g, 2)) if codes is None else codes
+
+
 def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     """Tree classes of the support: classes whose symbol graph is a tree
     on n+1 symbols.
@@ -813,10 +820,7 @@ def lambda_t(g: SimpleGraph, k: int = 2) -> frozenset[PClass]:
     _check_k(k)
     if k == 1:
         return frozenset()
-    codes = _lambda_t_codes(g)
-    if codes is None:
-        codes = _series_tree_codes(kneser_psum(g, 2))
-    return frozenset((_tree_form(code)[0],) for code in codes)
+    return frozenset((_tree_form(code)[0],) for code in _tree_class_codes(g))
 
 
 def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
@@ -827,9 +831,7 @@ def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
     ones reconstruction deletes a leaf from.  The classes are profiled by
     their codes, and only the minimal ones are canonicalised.
     """
-    codes = _lambda_t_codes(g)
-    if codes is None:
-        codes = _series_tree_codes(kneser_psum(g, 2))
+    codes = _tree_class_codes(g)
     if not codes:
         raise ValueError("graph has no tree classes in its support")
     return _minimal_tree_classes(codes)

@@ -54,7 +54,7 @@ def rooted_order(g: SimpleGraph, root: int) -> RootedOrder:
     ties broken by vertex label.
     """
     adj = _tree_lists(g)
-    if not 0 <= root < g.n:
+    if type(root) is not int or not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range")
     return _rooted_order(adj, [len(a) for a in adj], root)
 

@@ -1,13 +1,14 @@
 """Algorithms on centre-rooted AHU tree codes.
 
 A tree is named up to isomorphism by its AHU code (Aho, Hopcroft and
-Ullman) rooted at its centre, built in linear time by ``graphs._tree_code``
-and decoded by ``graphs._code_adjacency``.  This module reads and builds
-such codes: the tree classes of a tree (λ_T) by a dynamic programme over
-its code or of any graph from its series, their minimum rooted degree
-profiles read off the code's adjacency lists, and the minimal-profile
-classes that reconstruction deletes a leaf from.  A code reaches the
-canonical search only through ``graphs._tree_form``, once per distinct tree.
+Ullman) rooted at its centre.  ``graphs`` holds the builder (``_tree_code``),
+the decoder (``_code_adjacency``) and the one centre rule (``_centre_rooted``),
+which re-roots the tree classes here too.  This module holds the tree
+classes of a tree (λ_T), by a dynamic programme over its code, or of any
+graph from its series; their minimum rooted degree profiles, read off the
+code's adjacency lists; and the minimal-profile classes that
+reconstruction deletes a leaf from.  A code reaches the canonical search
+only through ``graphs._tree_form``, once per distinct tree.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from functools import lru_cache
 from .graphs import (
     CapExceededError,
     SimpleGraph,
+    _centre_rooted,
     _check_vertex_cap,
     _code_adjacency,
+    _code_children,
     _tree_code,
     _tree_form,
+    is_tree,
     parse_form,
 )
 from .profiles import _least_leaves
@@ -45,18 +49,6 @@ def _form_code(form: str) -> str | None:
     n, pairs = parse_form(form)
     _check_vertex_cap(n, "tree classes")
     return _tree_code(n, pairs) if all(len(p) == 2 for p in pairs) else None
-
-
-def _code_children(code: str) -> list[str]:
-    """The codes of the root's children in a rooted AHU code, left to right."""
-    children: list[str] = []
-    depth, start = 0, 1
-    for i in range(1, len(code) - 1):
-        depth += 1 if code[i] == "(" else -1
-        if depth == 0:
-            children.append(code[start : i + 1])
-            start = i + 1
-    return children
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +92,12 @@ def _lambda_t_codes(g: SimpleGraph) -> frozenset[str] | None:
     names the symbol tree rooted at one symbol of {0, 1}, the other its last
     child; ``_centre_rooted`` re-roots that code in place at its centre, so
     one code names one class.  Raises ``CapExceededError`` for a tree above
-    ``LAMBDA_T_CAP`` vertices.
+    ``LAMBDA_T_CAP`` vertices before its code is built.
     """
-    code = _tree_code(g.n, g.edges)
-    if code is None:
+    if not is_tree(g):
         return None
     _check_tree_cap(g.n, "tree-class extraction")
+    code = _tree_code(g.n, g.edges)
     return frozenset(
         _centre_rooted("(" + "".join(a) + "(" + "".join(b) + "))")
         for a, b in _side_pairs(_code_children(code), mirrored=True)
@@ -148,41 +140,6 @@ def _hangs(code: str) -> frozenset[tuple[str, ...]]:
         tuple(sorted(shared + ("(" + "".join(new) + ")",)))
         for new, shared in _side_pairs(_code_children(code))
     )
-
-
-@lru_cache(maxsize=1 << 14)
-def _centre_rooted(code: str) -> str:
-    """The centre-rooted code of the tree a rooted AHU code names, re-rooted
-    in place.  Every subtree below the root must be canonical; the root's
-    children may come in any order.
-
-    From the root, the walk steps into a tallest branch, the least code,
-    while that branch is taller than the rest of the tree hanging at the
-    vertex: then every vertex outside the branch is farther from its
-    deepest vertex than the branch's root is from any vertex.  When the two
-    are equally tall, the vertex and the branch's root are the two centres,
-    and the lesser rooted code is taken, as ``graphs._centre_code`` does;
-    when the rest is taller, the vertex is the one centre.  Only codes on
-    the path are rebuilt, by sorted joins of canonical codes.  At
-    ``LAMBDA_T_CAP`` this bounded ``lru_cache`` of 16 384 holds the 523
-    rooted codes of the tree classes of all 95 trees."""
-    branches = sorted(_code_children(code))
-    while branches:
-        top, rest = branches[0], "(" + "".join(branches[1:]) + ")"
-        gap = _height(top) - _height(rest)
-        if gap < 0:
-            break
-        below = sorted(_code_children(top) + [rest])
-        if gap == 0:
-            return min("(" + "".join(branches) + ")", "(" + "".join(below) + ")")
-        branches = below
-    return "(" + "".join(branches) + ")"
-
-
-def _height(code: str) -> int:
-    """The height of the rooted tree a canonical code names: its first
-    child is a tallest, so the code opens with height + 1 brackets."""
-    return len(code) - len(code.lstrip("(")) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,26 @@ def rooted_code(adj, root):
     return code(root, -1)
 
 
+def centre_code(adj):
+    """The AHU code of a tree given by adjacency lists, rooted at its
+    centre: leaves are peeled layer by layer until the one or two centre
+    vertices remain, and with two centres the lesser rooted code is taken."""
+    n = len(adj)
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(n) if deg[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+    return min(rooted_code(adj, c) for c in layer)
+
+
 def reference_search_order(n, edges):
     """``kneser._search_order`` by a textbook queue BFS, with components
     found by relaxing least-vertex labels along the edges until they settle.

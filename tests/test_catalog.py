@@ -253,7 +253,7 @@ def test_verify_trees_refuses_witness_off_the_multiset(monkeypatch):
 
 
 def test_verify_trees_profiles_each_class_once():
-    for cache in (trees._code_profile, trees._centre_rooted, graphs._tree_form):
+    for cache in (trees._code_profile, graphs._centre_rooted, graphs._tree_form):
         cache.cache_clear()
     records = verify_trees(7)["records"]
     # each distinct class once, however many trees or rebuilds share it: a
@@ -272,7 +272,7 @@ def test_verify_trees_searches_each_distinct_tree_once(monkeypatch):
         graphs._canonical_form_cached,
         graphs._tree_form,
         generate.enumerate_trees,
-        trees._centre_rooted,
+        graphs._centre_rooted,
         trees._code_profile,
     ):
         fn.cache_clear()

@@ -12,6 +12,7 @@ import pytest
 from oracles import (
     brute_automorphism_count,
     brute_canonical_edge_list,
+    centre_code,
     labelled_trees,
     rooted_code,
 )
@@ -36,18 +37,20 @@ from kneserchrom import (
     lambda_class,
     parse_form,
     relabel,
+    rooted_order,
     singleton_class_string,
 )
 from kneserchrom import graphs
 from kneserchrom.graphs import (
     _canonical_edge_list,
-    _centre_code,
+    _centre_rooted,
     _code_adjacency,
+    _code_children,
+    _rooted_code,
     _tree_adjacency,
     _tree_code,
 )
 from kneserchrom.kneser import _component_weights
-from kneserchrom.trees import _centre_rooted, _code_children
 
 
 def test_simple_graph_construction():
@@ -218,16 +221,24 @@ def test_tree_code_agrees_with_canonical_form():
 
 
 def test_centre_rooted_equals_decoded_centre_code():
-    # the in-place re-rooting against decoding and peeling leaves, at every
-    # root of every tree with n <= 10; a tree-class code has its root's last
-    # child out of order, so each code is also tried with that list reversed
+    # the one centre rule against the leaf-peeling oracle.  At every root of
+    # every tree with n <= 10: the builder's rooted code, re-rooted in place;
+    # a tree-class code has its root's last child out of order, so each code
+    # is also tried with that list reversed.  And the whole builder on each
+    # tree in its enumerated and its reversed labelling, and on each of its
+    # one-leaf extensions
     for n in range(1, 11):
         for t in enumerate_trees(n):
             adj = _tree_adjacency(n, t.edges)
             for root in range(n):
-                code = rooted_code(adj, root)
+                code = _rooted_code(adj, root)
+                assert code == rooted_code(adj, root)
                 for c in (code, "(" + "".join(_code_children(code)[::-1]) + ")"):
-                    assert _centre_rooted(c) == _centre_code(_code_adjacency(c)), c
+                    assert _centre_rooted(c) == centre_code(_code_adjacency(c)), c
+            labellings = [(n, t.edges), (n, [(n - 1 - u, n - 1 - v) for u, v in t.edges])]
+            labellings += [(n + 1, [*t.edges, (v, n)]) for v in range(n)]
+            for m, edges in labellings:
+                assert _tree_code(m, edges) == centre_code(_tree_adjacency(m, edges)), edges
 
 
 def test_tree_code_refuses_non_trees():
@@ -365,6 +376,33 @@ def test_relabel_and_induced_subgraph():
     assert h.sorted_edges() == [(0, 1), (1, 2), (2, 3)]
     sub = induced_subgraph(g, [1, 2, 3])
     assert sub.n == 3 and sub.sorted_edges() == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: relabel(g, [0, 1, 1]),
+        lambda g: relabel(g, [0, 1]),
+        lambda g: relabel(g, {0: 0, 1: 1, 3: 2}),
+        lambda g: induced_subgraph(g, [0, 0, 1]),
+        lambda g: induced_subgraph(g, [0, 7]),
+        lambda g: induced_subgraph(g, [0, True]),
+        lambda g: rooted_order(g, True),
+    ],
+    ids=[
+        "relabel-not-injective",
+        "relabel-too-short",
+        "relabel-foreign-key",
+        "induced-repeated-vertex",
+        "induced-out-of-range",
+        "induced-bool",
+        "rooted-order-bool",
+    ],
+)
+def test_vertex_arguments_are_refused(call):
+    # each was once accepted, or refused by an IndexError or a KeyError
+    with pytest.raises(ValueError):
+        call(SimpleGraph.from_edges(3, [(0, 1), (0, 2)]))
 
 
 def test_lambda_validation():

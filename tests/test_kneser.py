@@ -60,7 +60,7 @@ from kneserchrom import (
     true_basis,
     verify_tau_isomorphism,
 )
-from kneserchrom import kneser
+from kneserchrom import kneser, trees
 from kneserchrom.kneser import (
     AdmissibleWitness,
     PSUM_SUBSET_CAP,
@@ -789,6 +789,23 @@ def test_lambda_t_of_every_tree_up_to_the_cap():
     path10 = SimpleGraph.from_edges(10, [(i, i + 1) for i in range(9)])
     with pytest.raises(CapExceededError):
         lambda_t(path10)
+
+
+def test_lambda_t_refuses_a_long_path_before_building_its_code(monkeypatch):
+    # a 3000-vertex path once overflowed the stack building its code
+    path = SimpleGraph.from_edges(3000, [(i, i + 1) for i in range(2999)])
+    message = r"^tree-class extraction capped at 9 vertices \(got 3000\)$"
+    for call in (lambda_t, lambda_t_tilde):
+        with pytest.raises(CapExceededError, match=message):
+            call(path)
+
+    def build(*args):
+        raise AssertionError("the code was built before the cap check")
+
+    monkeypatch.setattr(trees, "_tree_code", build)
+    for call in (lambda_t, lambda_t_tilde):
+        with pytest.raises(CapExceededError, match=message):
+            call(path)
 
 
 def test_k1_series_of_every_graph_up_to_six_vertices():

@@ -1,7 +1,7 @@
 """The package namespace: ``__all__`` names every public export, no module
 of the package or the tests imports a name it never uses, only ``graphs``
 and ``trees`` decode or slice a tree code, only ``graphs._tree_code`` builds
-one from a labelled tree, ``catalog`` and ``cli`` hold no size cap of their
+one from a labelled tree, one centre rule re-roots codes, ``catalog`` and ``cli`` hold no size cap of their
 own, no module-level cache of the package grows without bound, no package
 check is an ``assert`` that ``python -O`` would strip, and every name the
 benchmark traces still exists."""
@@ -40,7 +40,7 @@ def test_all_matches_public_names():
 
 
 #: helpers that decode or slice a tree code, and the modules that may call them
-CODE_HELPERS = {"_code_adjacency", "_centre_code", "_code_children"}
+CODE_HELPERS = {"_code_adjacency", "_code_children", "_centre_rooted", "_rooted_code"}
 CODE_MODULES = {"graphs.py", "trees.py"}
 
 
@@ -57,21 +57,24 @@ def test_tree_code_helpers_stay_in_graphs_and_trees():
 
 
 def test_centre_code_has_one_builder():
-    # codes are built from adjacency lists by graphs._tree_code alone;
-    # trees._centre_rooted re-roots a code it already holds without decoding
-    callers = []
+    # one centre rule: no package function peels leaves as _centre_code did,
+    # and only graphs._tree_code (labelled trees) and trees._lambda_t_codes
+    # (tree-class codes) re-root a code at its centre
+    defined, callers = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append(func.name)
                 callers += [
                     f"{path.stem}.{func.name}"
                     for node in ast.walk(func)
                     if isinstance(node, ast.Call)
                     and getattr(node.func, "id", getattr(node.func, "attr", None))
-                    == "_centre_code"
+                    == "_centre_rooted"
                 ]
-    assert callers == ["graphs._tree_code"]
+    assert "_centre_code" not in defined and "_centre_rooted" in defined
+    assert sorted(callers) == ["graphs._tree_code", "trees._lambda_t_codes"]
 
 
 #: modules that refuse oversized input only through the owning module's checks
