@@ -18,9 +18,17 @@ from pathlib import Path
 
 from .generate import enumerate_graphs, enumerate_trees
 from .graph6 import parse_graph6, write_graph6
-from .graphs import SimpleGraph, canonical_form, graph_from_form
+from .graphs import (
+    SimpleGraph,
+    _check_simple,
+    _tree_code,
+    _tree_form,
+    canonical_form,
+    graph_from_form,
+)
 from .kneser import (
     PSeries,
+    _check_draw,
     _check_series_args,
     augment_tree_lambda,
     is_admissible,
@@ -29,7 +37,7 @@ from .kneser import (
     random_values,
 )
 from .reconstruct import _delete_minimum_leaf, verify_tau_isomorphism
-from .trees import _check_tree_cap, _lambda_t_codes, _minimal_tree_classes
+from .trees import _check_tree_cap, _code_lambda_t, _minimal_tree_classes
 
 #: seed used by fingerprints and collision search when none is given
 DEFAULT_SEED = 1729
@@ -61,7 +69,8 @@ class Fingerprint:
 
 
 def fingerprint(series: PSeries, seed: int = DEFAULT_SEED) -> Fingerprint:
-    """Evaluate the series at seeded value maps for a spread of symbol counts."""
+    """Evaluate the series at seeded value maps for a spread of symbol counts;
+    ``ValueError`` unless the seed is an int (``kneser._check_draw``)."""
     ms = tuple(range(series.k, 7))
     residues = tuple(
         pseries_eval(series, m, random_values(series.k, m, seed)) for m in ms
@@ -75,10 +84,16 @@ def fingerprint(series: PSeries, seed: int = DEFAULT_SEED) -> Fingerprint:
 
 
 def canonical_graph6(g: SimpleGraph) -> str:
-    """graph6 string of the canonical representative -- an isomorphism key."""
-    rep = graph_from_form(canonical_form(g))
-    assert isinstance(rep, SimpleGraph)
-    return write_graph6(rep)
+    """graph6 string of the canonical representative -- an isomorphism key.
+    A multigraph with a repeated edge raises ``ValueError``: graph6 cannot
+    spell it."""
+    _check_simple(g, "canonical graph6")
+    return _form_graph6(canonical_form(g))
+
+
+def _form_graph6(form: str) -> str:
+    """graph6 string of the simple graph a form string names."""
+    return write_graph6(graph_from_form(form))
 
 
 class SeriesCache:
@@ -173,6 +188,9 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
     For each tree: extract the tree classes of its k = 2 invariant, profile
     them, reconstruct, and compare with the original up to isomorphism.
     Afterwards check that no two trees produced the same tree-class set.
+    Each tree's centre-rooted code is built once: its form, its graph6 and
+    its tree classes are all read off that code, and the rebuilt tree is
+    compared by form, so its graph6 is written only when the forms differ.
     With ``witness`` also confirm, per tree, that an admissibility witness
     of its canonical augmented multiset is a bijection onto that multiset
     with intersecting blocks on every edge, and that it induces a position
@@ -189,12 +207,18 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
     for n in range(1, n_max + 1):
         for tree in enumerate_trees(n):
             started = time.perf_counter()
-            g6 = canonical_graph6(tree)
-            codes = _lambda_t_codes(tree)
+            # one centre-rooted code names the tree, its form and its classes
+            code = _tree_code(tree.n, tree.edges)
+            form = _tree_form(code)[0]
+            g6 = _form_graph6(form)
+            codes = _code_lambda_t(code)
             tilde, profile = _minimal_tree_classes(codes)
-            reconstructed = canonical_graph6(_delete_minimum_leaf(tilde).graph)
-            # canonical graph6 strings are equal exactly for isomorphic trees
-            ok = reconstructed == g6
+            rebuilt = _delete_minimum_leaf(tilde).graph
+            # a rebuild equal to the input as a labelled tree needs no code
+            rebuilt_form = form if rebuilt == tree else canonical_form(rebuilt)
+            # forms are equal exactly for isomorphic trees
+            ok = rebuilt_form == form
+            reconstructed = g6 if ok else _form_graph6(rebuilt_form)
             record = {
                 "n": n,
                 "graph6": g6,
@@ -258,12 +282,14 @@ def collide_search(
     can agree on every value map with at most 6 symbols yet differ in
     disjoint-support classes spreading over more symbols.
     An ``n_max`` above ``PSUM_VERTEX_CAP``, or (k = 2) with K_{n_max} above
-    ``PSUM_SUBSET_CAP``, raises ``CapExceededError`` before any series.
+    ``PSUM_SUBSET_CAP``, raises ``CapExceededError`` before any series, and
+    a seed that is not an int (a bool included) ``ValueError``.
     """
     if type(n_max) is not int or n_max < 1:  # True == 1, but is no bound
         raise ValueError("need an integer n_max >= 1")
     # K_{n_max} has the most vertices and edges of any graph searched
     _check_series_args(n_max, n_max * (n_max - 1) // 2, k, "witness", "collision search")
+    _check_draw(k, k, seed)
     collisions: list[dict] = []
     fp_collisions: list[dict] = []
     graphs_seen = 0

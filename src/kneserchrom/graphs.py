@@ -339,6 +339,13 @@ def _check_vertex_cap(n: int, what: str) -> None:
         raise CapExceededError(f"{what} capped at {VERTEX_CAP} vertices (got {n})")
 
 
+def _check_simple(g: SimpleGraph | Multigraph, what: str) -> None:
+    """Refuse a multigraph with a repeated edge: ``what`` is defined on
+    simple graphs, whose canonical representative has no such edge."""
+    if isinstance(g, Multigraph) and any(mult > 1 for _, mult in g.edges):
+        raise ValueError(f"{what} needs a simple graph (got a repeated edge)")
+
+
 def _weighted_edges(g: SimpleGraph | Multigraph, what: str) -> tuple:
     """``((u, v), multiplicity)`` pairs sorted by pair, after the size checks
     shared by the isomorphism routines (``what`` names the caller)."""
@@ -475,7 +482,7 @@ def _centre_rooted(code: str) -> str:
     and the lesser rooted code is taken; when the rest is taller, the vertex
     is the one centre.  Only codes on the path are rebuilt, by sorted joins
     of canonical codes.  This bounded ``lru_cache`` of 16 384 serves
-    ``_tree_code`` and ``trees._lambda_t_codes``: it holds 688 entries after
+    ``_tree_code`` and ``trees._code_lambda_t``: it holds 688 entries after
     ``verify_trees(9, witness=True)`` and 11 421 after ``enumerate_trees(14)``."""
     branches = sorted(_code_children(code))
     while branches:

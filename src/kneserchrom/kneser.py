@@ -71,6 +71,7 @@ from .graphs import (
     _bfs,
     _blocks_class_string,
     _check_k,
+    _check_simple,
     _components,
     _tree_form,
     automorphism_count,
@@ -82,7 +83,7 @@ from .graphs import (
     parse_form,
     singleton_class_string,
 )
-from .profiles import _minimum_rootings
+from .profiles import _least_rooting
 from .trees import _lambda_t_codes, _minimal_tree_classes, _series_tree_codes
 
 #: full subset expansions are enumerated only up to this many vertices
@@ -137,52 +138,83 @@ def _search_order(g: SimpleGraph) -> tuple[list[int], list[list[int]]]:
     return order, [[pos[w] for w in adj[v] if pos[w] < i] for i, v in enumerate(order)]
 
 
+def _rows(blocks) -> list[int]:
+    """For each block, the bitmask of the blocks it meets (bit j for
+    ``blocks[j]``): the union over its symbols of the blocks holding it."""
+    holders: dict[int, int] = {}
+    for j, b in enumerate(blocks):
+        for s in b:
+            holders[s] = holders.get(s, 0) | 1 << j
+    rows = []
+    for b in blocks:
+        row = 0
+        for s in b:
+            row |= holders[s]
+        rows.append(row)
+    return rows
+
+
 def _placement(g: SimpleGraph, blocks):
     """The first bijection of V(G) onto the multiset ``blocks`` that puts
     intersecting blocks on adjacent vertices, as sorted (vertex, block)
     pairs, or None when there is none.
 
     Blocks are searched by twin group: two blocks are twins when they meet
-    exactly the same blocks (equal rows of the intersection matrix; every
-    block meets itself, so twins meet each other too).  Swapping two twins
-    in an admissible placement gives another one, so each group is tried
-    once, as one value whose capacity is its summed multiplicity, and the
-    existence of a placement is decided exactly as by a search over the
-    blocks themselves.  Vertices are placed in ``_search_order`` and groups
-    tried in the order of their least block; a complete placement hands
-    each group's blocks out in sorted order along the search order.  The
-    search is pruned by a necessary condition: a vertex of degree d needs a
-    block whose intersecting blocks can host d neighbours.
+    exactly the same blocks (every block meets itself, so twins meet each
+    other too).  Swapping two twins in an admissible placement gives
+    another one, so each group is tried once, as one value whose capacity
+    is its summed multiplicity, and the existence of a placement is decided
+    exactly as by a search over the blocks themselves.
+
+    Relations are bitmasks.  A block's row (the distinct blocks it meets)
+    is the union of the masks of the blocks holding each of its symbols;
+    equal rows are twins.  Groups are numbered by their least block, and
+    ``meets[g]`` is the mask of groups that meet group g.  Vertices are
+    placed in ``_search_order``; a position's candidates are the groups
+    with capacity left that meet the groups of all its placed neighbours,
+    the AND of their ``meets`` masks, tried in increasing group number.
+    The search is pruned by a necessary condition: a vertex of degree d
+    needs a group whose meeting groups hold at least d other blocks.  A
+    complete placement hands each group's blocks out in sorted order along
+    the search order.
     """
     counts = Counter(blocks)
     distinct = sorted(counts)
-    sets = [set(b) for b in distinct]
-    rows = [tuple(bool(sa & sb) for sb in sets) for sa in sets]
-    twins: dict[tuple[bool, ...], list] = {}
-    for b, row in zip(distinct, rows):
+    twins: dict[int, list] = {}
+    for b, row in zip(distinct, _rows(distinct)):
         twins.setdefault(row, []).extend([b] * counts[b])
     groups = list(twins.values())
-    inter = [[bool(set(ga[0]) & set(gb[0])) for gb in groups] for ga in groups]
+    meets = _rows([members[0] for members in groups])
     caps = [len(members) for members in groups]
-    avail = [sum(c for c, meets in zip(caps, row) if meets) - 1 for row in inter]
+    avail = [sum(c for gj, c in enumerate(caps) if row >> gj & 1) - 1 for row in meets]
     order, earlier = _search_order(g)
     deg = g.degrees()
+    fits = {d: sum(1 << gi for gi, a in enumerate(avail) if a >= d) for d in set(deg)}
+    fit = [fits[deg[v]] for v in order]
+    free = (1 << len(groups)) - 1  # groups with capacity left
     chosen: list[int] = []
 
     def extend(i: int) -> bool:
+        nonlocal free
         if i == len(order):
             return True
-        need = deg[order[i]]
-        for gi in range(len(groups)):
-            if caps[gi] == 0 or avail[gi] < need:
-                continue
-            if all(inter[gi][chosen[j]] for j in earlier[i]):
-                caps[gi] -= 1
-                chosen.append(gi)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-                caps[gi] += 1
+        cand = fit[i] & free
+        for j in earlier[i]:
+            cand &= meets[chosen[j]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            gi = low.bit_length() - 1
+            caps[gi] -= 1
+            if not caps[gi]:
+                free ^= low
+            chosen.append(gi)
+            if extend(i + 1):
+                return True
+            chosen.pop()
+            if not caps[gi]:
+                free |= low
+            caps[gi] += 1
         return False
 
     if not extend(0):
@@ -197,9 +229,12 @@ def is_admissible(lam: Lambda, g: SimpleGraph) -> AdmissibleWitness | None:
     Searches for a bijection of V(G) onto the blocks of ``lam`` (as a
     multiset) such that adjacent vertices receive intersecting blocks;
     returns one witness, or None.  Requires exactly n blocks.  Blocks that
-    meet the same blocks are interchangeable and searched once
-    (``_placement``): the first witness may differ from a search over the
-    blocks one by one, the decision does not.
+    meet the same blocks are interchangeable and searched once, over
+    bitmasks (``_placement``).  The witness is the first placement in a
+    fixed order (vertices in ``_search_order``, twin groups by least
+    block), so it depends only on ``g`` and the multiset; it may differ
+    from the first of a search over the blocks one by one, the decision
+    does not.
     """
     if len(lam.blocks) != g.n:
         raise ValueError(
@@ -488,8 +523,10 @@ def kneser_psum(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> PSeries:
     ``coeffs="witness"`` gives the genuine expansion (what the evaluation
     oracle reproduces); ``coeffs="indicator"`` counts each admissible class
     once per spanning subgraph.  Capped at ``PSUM_VERTEX_CAP`` vertices and,
-    for k = 2, at ``PSUM_SUBSET_CAP`` spanning subgraphs.
+    for k = 2, at ``PSUM_SUBSET_CAP`` spanning subgraphs.  A multigraph with
+    a repeated edge raises ``ValueError`` before any work.
     """
+    _check_simple(g, "power-sum expansion")
     _check_series_args(g.n, len(g.edges), k, coeffs, "power-sum expansion")
     return PSeries(g.n, k, coeffs, dict(_psum_terms(canonical_form(g), k, coeffs)))
 
@@ -507,8 +544,22 @@ def block_universe(m: int, k: int) -> list[tuple[int, ...]]:
 def random_values(k: int, m: int, seed: int) -> dict[tuple[int, ...], int]:
     """Deterministic pseudorandom value map on the k-subsets of {1..m}.
 
-    Each call returns a fresh dict over values drawn once per (k, m, seed)."""
+    Each call returns a fresh dict over values drawn once per (k, m, seed).
+    Raises ``ValueError`` unless ``_check_draw`` accepts the arguments."""
+    _check_draw(k, m, seed)
     return dict(zip(block_universe(m, k), _random_value_tuple(k, m, seed)))
+
+
+def _check_draw(k: int, m: int, seed: int) -> None:
+    """Refuse a value-map draw unless k is 1 or 2, m is an int >= k and the
+    seed an int.  A bool is none of these: ``True == 1`` shares the cache
+    key of ``_random_value_tuple`` while seeding ``random.Random`` with a
+    different string, so the values would depend on what ran before."""
+    _check_k(k)
+    if type(m) is not int or m < k:
+        raise ValueError(f"need an integer m >= k (got m={m!r})")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer (got {seed!r})")
 
 
 @lru_cache(maxsize=256)
@@ -858,7 +909,7 @@ def augment_tree_lambda(g: SimpleGraph) -> TreeAugmentation:
     with one pendant symbol attached at the root, so its minimum profile is
     (1, 1 + r(T)_1, r(T)_2, ..., r(T)_n).
     """
-    ro = _minimum_rootings(g)[0]
+    ro = _least_rooting(g)
     assignment = []
     for i, v in enumerate(ro.order):
         pos = i + 1

@@ -96,11 +96,11 @@ def min_rooted_degree_sequence(g: SimpleGraph, root: int) -> DegreeProfile:
     return rooted_order(g, root).profile
 
 
-def _minimum_rootings(g: SimpleGraph) -> tuple[RootedOrder, ...]:
-    """The rooted orders attaining r(T), by root label."""
+def _least_rooting(g: SimpleGraph) -> RootedOrder:
+    """The rooted order attaining r(T) at the label-smallest minimum leaf;
+    the other minimum leaves are not rooted."""
     adj = _tree_lists(g)
-    deg = [len(a) for a in adj]
-    return tuple(_rooted_order(adj, deg, v) for v in _least_leaves(adj)[1])
+    return _rooted_order(adj, [len(a) for a in adj], _least_leaves(adj)[1][0])
 
 
 def _least_leaves(adj: list[list[int]]) -> tuple[DegreeProfile, tuple[int, ...]]:

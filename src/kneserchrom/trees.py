@@ -70,7 +70,18 @@ def _series_tree_codes(series) -> frozenset[str]:
 
 def _lambda_t_codes(g: SimpleGraph) -> frozenset[str] | None:
     """Centre-rooted AHU codes of the tree classes of a tree G, or None
-    when G is not a tree.
+    when G is not a tree (see ``_code_lambda_t``).  Raises
+    ``CapExceededError`` for a tree above ``LAMBDA_T_CAP`` vertices before
+    its code is built."""
+    if not is_tree(g):
+        return None
+    _check_tree_cap(g.n, "tree-class extraction")
+    return _code_lambda_t(_tree_code(g.n, g.edges))
+
+
+def _code_lambda_t(code: str) -> frozenset[str]:
+    """Centre-rooted AHU codes of the tree classes of the tree whose
+    centre-rooted code is ``code``; the caller has checked the cap.
 
     Only the full edge set of a tree can contribute a connected class, so
     the tree classes are the admissible ones.  Root G anywhere and give the
@@ -91,13 +102,8 @@ def _lambda_t_codes(g: SimpleGraph) -> frozenset[str] | None:
     interchangeable each unordered pair of sides is kept once.  A root pair
     names the symbol tree rooted at one symbol of {0, 1}, the other its last
     child; ``_centre_rooted`` re-roots that code in place at its centre, so
-    one code names one class.  Raises ``CapExceededError`` for a tree above
-    ``LAMBDA_T_CAP`` vertices before its code is built.
+    one code names one class.
     """
-    if not is_tree(g):
-        return None
-    _check_tree_cap(g.n, "tree-class extraction")
-    code = _tree_code(g.n, g.edges)
     return frozenset(
         _centre_rooted("(" + "".join(a) + "(" + "".join(b) + "))")
         for a, b in _side_pairs(_code_children(code), mirrored=True)

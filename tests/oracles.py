@@ -253,6 +253,53 @@ def all_block_bijections(n, edges, blocks):
     return [dict(items) for items in sorted(out)]
 
 
+def set_placement(g, blocks):
+    """The first placement of ``kneser._placement``, by the set-based
+    search it replaced: intersection rows of tuples of bools, twin groups
+    keyed by equal rows, and a loop over every group at each position.
+
+    Vertices come in ``reference_search_order``; groups are tried in the
+    order of their least block, skipping a group with no capacity left or
+    whose meeting blocks cannot host the vertex's degree; a complete
+    placement hands each group's blocks out in sorted order."""
+    counts = {}
+    for b in blocks:
+        counts[b] = counts.get(b, 0) + 1
+    distinct = sorted(counts)
+    sets = [set(b) for b in distinct]
+    twins = {}
+    for b, sa in zip(distinct, sets):
+        row = tuple(bool(sa & sb) for sb in sets)
+        twins.setdefault(row, []).extend([b] * counts[b])
+    groups = list(twins.values())
+    inter = [[bool(set(ga[0]) & set(gb[0])) for gb in groups] for ga in groups]
+    caps = [len(members) for members in groups]
+    avail = [sum(c for c, meets in zip(caps, row) if meets) - 1 for row in inter]
+    order, earlier = reference_search_order(g.n, g.sorted_edges())
+    deg = [sum(v in e for e in g.edges) for v in range(g.n)]
+    chosen = []
+
+    def extend(i):
+        if i == len(order):
+            return True
+        for gi in range(len(groups)):
+            if caps[gi] == 0 or avail[gi] < deg[order[i]]:
+                continue
+            if all(inter[gi][chosen[j]] for j in earlier[i]):
+                caps[gi] -= 1
+                chosen.append(gi)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+                caps[gi] += 1
+        return False
+
+    if not extend(0):
+        return None
+    handout = [iter(members) for members in groups]
+    return tuple(sorted((v, next(handout[gi])) for v, gi in zip(order, chosen)))
+
+
 def prufer_decode(seq, n):
     """Textbook Pruefer decoding, independent of the package's decoder."""
     degree = [1] * n

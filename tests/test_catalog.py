@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -294,6 +295,31 @@ def test_verify_trees_searches_each_distinct_tree_once(monkeypatch):
     assert len(searched) == len(set(searched)) == len(named) == 36
     assert set(searched) == named
 
+
+def test_verify_trees_builds_each_input_tree_once(monkeypatch):
+    # the labelled canonical-form cache is emptied, so a second build of an
+    # input tree behind canonical_form could not hide as a cache hit;
+    # naming the tree by canonical_graph6 and its classes by
+    # _lambda_t_codes made 262 calls here and built every input tree twice
+    graphs._canonical_form_cached.cache_clear()
+    inputs = [t for n in range(1, 10) for t in enumerate_trees(n)]
+    built = []
+    build = graphs._tree_code
+
+    def counted(n, edges):
+        built.append((n, frozenset(map(tuple, edges))))
+        return build(n, edges)
+
+    for module in (graphs, trees, catalog):
+        monkeypatch.setattr(module, "_tree_code", counted)
+    assert verify_trees(9, witness=True)["summary"]["all_pass"] is True
+    monkeypatch.undo()
+    calls = Counter(built)
+    assert [calls[(t.n, t.edges)] for t in inputs] == [1] * 95
+    # the other calls name rebuilt trees, each labelled tree once
+    assert set(calls.values()) == {1}
+
+
 def test_verify_trees_rejects_bad_bound():
     # True == 1, but a bool is not a vertex count
     for bound in (0, True, 2.0, "3"):
@@ -317,7 +343,7 @@ def test_verify_trees_reports_shared_class_sets(capsys, monkeypatch):
 
     # every tree gets P4's tree classes, so every later tree clashes with the first
     codes = trees._lambda_t_codes(P4)
-    monkeypatch.setattr(catalog, "_lambda_t_codes", lambda tree: codes)
+    monkeypatch.setattr(catalog, "_code_lambda_t", lambda code: codes)
     summary = verify_trees(4)["summary"]
     assert summary["injective"] is False
     assert len(summary["duplicate_class_sets"]) == summary["trees"] - 1 > 0
@@ -427,6 +453,24 @@ def test_collide_search_rejects_bad_bound():
     for bound in (0, True, 2.0, "3"):
         with pytest.raises(ValueError, match="need an integer n_max >= 1"):
             collide_search(bound, 1)
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_seed_must_be_an_integer(seed, monkeypatch):
+    # True == 1 shared seed 1's cached draw, so the values depended on
+    # which seed a process had used first
+    message = f"seed must be an integer (got {seed!r})"
+    with pytest.raises(ValueError) as exc:
+        fingerprint(kneser_psum(P4, 2), seed=seed)
+    assert str(exc.value) == message
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was computed before the seed check")
+
+    monkeypatch.setattr(catalog, "cached_psum", refuse)
+    with pytest.raises(ValueError) as exc:
+        collide_search(3, 2, seed=seed)
+    assert str(exc.value) == message
 
 
 def test_collide_search_k2_refuses_seven_vertices_before_any_series(monkeypatch):

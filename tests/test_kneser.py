@@ -11,7 +11,7 @@ import sys
 import textwrap
 import tracemalloc
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import perm
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from oracles import (
     enumerate_admissible_classes,
     lambda_support,
     reference_search_order,
+    set_placement,
     spanning_class_union,
 )
 
@@ -68,6 +69,7 @@ from kneserchrom.kneser import (
     _merge_expansion,
     _merge_images,
     _orbit_sum,
+    _placement,
     _psum_k1,
     _psum_subsets,
     _search_order,
@@ -153,6 +155,45 @@ def test_is_admissible_twin_groups_match_brute_bijections():
                 assert witness.realises(lam, g)
                 found += 1
     assert found > 0
+
+
+def test_placement_equals_set_based_oracle_on_augmented_trees():
+    # the first witness, not only the decision: every tree with n <= 10 in
+    # its enumerated labelling and in its reverse
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            for h in (t, kneserchrom.relabel(t, list(range(n))[::-1])):
+                blocks = augment_tree_lambda(h).lam.blocks
+                assert _placement(h, blocks) == set_placement(h, blocks), h
+
+
+def test_placement_equals_set_based_oracle_on_small_multisets():
+    # every n-block multiset of 2-blocks over four symbols and of 1-blocks
+    # over three, on every graph with n <= 5 (connected or not)
+    pools = (list(combinations(range(4), 2)), [(0,), (1,), (2,)])
+    placed = refused = 0
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            for pool in pools:
+                for blocks in combinations_with_replacement(pool, n):
+                    found = _placement(g, blocks)
+                    assert found == set_placement(g, blocks), (sorted(g.edges), blocks)
+                    placed += found is not None
+                    refused += found is None
+    assert placed > 0 and refused > 0
+
+
+def test_witnesses_of_every_tree_up_to_the_cap_are_pinned():
+    # sha256 over the witness assignments of the augmented multisets of all
+    # 95 trees with n <= 9, in enumeration order, as the set-based search
+    # found them before the search moved onto bitmasks
+    digest = hashlib.sha256()
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            digest.update(repr(is_admissible(augment_tree_lambda(t).lam, t).assignment).encode())
+    assert digest.hexdigest() == (
+        "4df2353095145da84116f15e1e9b0a1e3cb34090e8c9144be1efb6da0d985556"
+    )
 
 
 def test_double_star_witness():
@@ -326,6 +367,29 @@ def test_evaluation_rejects_missing_blocks():
     assert random_values(2, 4, seed=1).keys() == set(block_universe(4, 2))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, 3, True), "seed must be an integer (got True)"),
+        ((2, 3, 1.0), "seed must be an integer (got 1.0)"),
+        ((2, 3, "1"), "seed must be an integer (got '1')"),
+        ((2, 1, 1), "need an integer m >= k (got m=1)"),
+        ((2, 3.0, 1), "need an integer m >= k (got m=3.0)"),
+        ((1, True, 1), "need an integer m >= k (got m=True)"),
+        ((True, 3, 1), "only k = 1 and k = 2 are supported"),
+    ],
+    ids=["seed-bool", "seed-float", "seed-str", "m-below-k", "m-float", "m-bool", "k-bool"],
+)
+def test_random_values_refuses_bad_draws(args, message):
+    with pytest.raises(ValueError) as exc:
+        random_values(*args)
+    assert str(exc.value) == message
+    # a refused draw leaves nothing behind: seed 1 is drawn as in a fresh process
+    rng = random.Random("1:2:3")
+    fresh = [rng.randrange(1, FIXED_PRIME) for _ in block_universe(3, 2)]
+    assert random_values(2, 3, 1) == dict(zip(block_universe(3, 2), fresh))
+
+
 @pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
 def test_evaluation_rejects_non_integer_values(bad):
     series = kneser_psum(P3, 2)
@@ -485,6 +549,16 @@ def test_invariant_check_survives_optimised_mode():
                 print(exc)
         """
     )
+    assert _optimised_stdout(script) == [
+        "orbit sum not divisible by automorphism count",
+        "merge coefficient not divisible by automorphism counts",
+        "class count times automorphism count is odd",
+    ]
+
+
+def _optimised_stdout(script: str) -> list[str]:
+    """The stdout lines of ``script`` run under ``python -O`` (no assert
+    statements) with this package importable; it must exit 0."""
     env = dict(os.environ)
     package_root = str(Path(kneserchrom.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
@@ -498,10 +572,31 @@ def test_invariant_check_survives_optimised_mode():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "orbit sum not divisible by automorphism count",
-        "merge coefficient not divisible by automorphism counts",
-        "class count times automorphism count is odd",
+    return proc.stdout.splitlines()
+
+
+def test_repeated_edge_is_refused_under_optimised_mode():
+    # a double edge once became the edgeless graph's graph6 'B?' under -O
+    # (a wrong cache key), and kneser_psum failed on an attribute
+    script = textwrap.dedent(
+        """
+        from kneserchrom import Multigraph, canonical_graph6, kneser_psum
+
+        double = Multigraph.from_pairs(3, [(0, 1), (0, 1), (1, 2)])
+        for call in (canonical_graph6, lambda g: kneser_psum(g, 2)):
+            try:
+                print(call(double))
+            except ValueError as exc:
+                print(exc)
+        # a multigraph without a repeated edge is a simple graph
+        single = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+        print(canonical_graph6(single), kneser_psum(single, 2) == kneser_psum(single.simple(), 2))
+        """
+    )
+    assert _optimised_stdout(script) == [
+        "canonical graph6 needs a simple graph (got a repeated edge)",
+        "power-sum expansion needs a simple graph (got a repeated edge)",
+        "BW True",
     ]
 
 

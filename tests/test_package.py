@@ -58,7 +58,7 @@ def test_tree_code_helpers_stay_in_graphs_and_trees():
 
 def test_centre_code_has_one_builder():
     # one centre rule: no package function peels leaves as _centre_code did,
-    # and only graphs._tree_code (labelled trees) and trees._lambda_t_codes
+    # and only graphs._tree_code (labelled trees) and trees._code_lambda_t
     # (tree-class codes) re-root a code at its centre
     defined, callers = [], []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -74,7 +74,7 @@ def test_centre_code_has_one_builder():
                     == "_centre_rooted"
                 ]
     assert "_centre_code" not in defined and "_centre_rooted" in defined
-    assert sorted(callers) == ["graphs._tree_code", "trees._lambda_t_codes"]
+    assert sorted(callers) == ["graphs._tree_code", "trees._code_lambda_t"]
 
 
 #: modules that refuse oversized input only through the owning module's checks

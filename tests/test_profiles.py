@@ -139,5 +139,9 @@ def test_rootings_of_one_leaf_per_neighbour_equal_every_leaf_rootings():
     for n in range(1, 11):
         for t in enumerate_trees(n):
             for h in (t, relabel(t, list(range(n))[::-1])):
-                expected = every_leaf_rootings(_tree_adjacency(n, h.edges))
-                assert profiles._minimum_rootings(h) == expected, h
+                adj = _tree_adjacency(n, h.edges)
+                expected = every_leaf_rootings(adj)
+                deg = [len(a) for a in adj]
+                rootings = tuple(profiles._rooted_order(adj, deg, v) for v in minimum_leaves(h))
+                assert rootings == expected, h
+                assert profiles._least_rooting(h) == expected[0], h
