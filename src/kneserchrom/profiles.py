@@ -19,7 +19,10 @@ internal root).  Two leaves with one neighbour are swapped by an
 automorphism, so they have equal sequences.  So r(T) and the minimum leaves
 come from one pass that roots one leaf per neighbour (the sole vertex when
 n = 1), stopping each rooting once it exceeds the least sequence so far;
-the minimum leaves are all leaves of the neighbours that attain it.  These
+the minimum leaves are all leaves of the neighbours that attain it, and the
+pass keeps the rooted order at the least of them.  Every rooting, bounded
+or not, is the one layer-sorted walk ``_rooted_order``, so r(T), r(T, v),
+the minimum leaves and the least rooted order all read from it.  These
 profiles are the carrier of the tree-reconstruction argument implemented
 in ``kneserchrom.reconstruct``.
 """
@@ -56,7 +59,7 @@ def rooted_order(g: SimpleGraph, root: int) -> RootedOrder:
     adj = _tree_lists(g)
     if type(root) is not int or not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range")
-    return _rooted_order(adj, [len(a) for a in adj], root)
+    return _rooted_order(adj, root)
 
 
 def _tree_lists(g: SimpleGraph) -> list[list[int]]:
@@ -69,26 +72,32 @@ def _tree_lists(g: SimpleGraph) -> list[list[int]]:
     return adj
 
 
-def _rooted_order(adj: list[list[int]], deg: list[int], root: int) -> RootedOrder:
-    parent = {root: -1}
-    order: list[int] = []
-    parent_pos: list[int] = []
-    pos: dict[int, int] = {}
-    layer = [root]
-    while layer:
-        layer.sort(key=lambda v: (deg[v], v))
-        nxt: list[int] = []
-        for v in layer:
-            pos[v] = len(order)
-            order.append(v)
-            parent_pos.append(pos[parent[v]] if parent[v] != -1 else -1)
-            for w in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        layer = nxt
-    profile = tuple(deg[v] for v in order)
-    return RootedOrder(tuple(order), tuple(parent_pos), profile)
+def _rooted_order(
+    adj: list[list[int]], root: int, bound: DegreeProfile = ()
+) -> RootedOrder | None:
+    """The layer-sorted rooting at ``root`` of a tree given by adjacency
+    lists, the package's only one; or None as soon as a prefix of its
+    degree sequence exceeds a non-empty ``bound``."""
+    seen = [False] * len(adj)
+    seen[root] = True
+    order, parent_pos, profile = [root], [-1], [len(adj[root])]
+    start = 0
+    while start < len(order):
+        if bound and tuple(profile) > bound[: len(profile)]:
+            return None
+        # the next layer, each vertex with its parent's position
+        layer = []
+        for i in range(start, len(order)):
+            for w in adj[order[i]]:
+                if not seen[w]:
+                    seen[w] = True
+                    layer.append((len(adj[w]), w, i))
+        start = len(order)
+        for d, w, i in sorted(layer):
+            order.append(w)
+            parent_pos.append(i)
+            profile.append(d)
+    return RootedOrder(tuple(order), tuple(parent_pos), tuple(profile))
 
 
 def min_rooted_degree_sequence(g: SimpleGraph, root: int) -> DegreeProfile:
@@ -97,16 +106,17 @@ def min_rooted_degree_sequence(g: SimpleGraph, root: int) -> DegreeProfile:
 
 
 def _least_rooting(g: SimpleGraph) -> RootedOrder:
-    """The rooted order attaining r(T) at the label-smallest minimum leaf;
-    the other minimum leaves are not rooted."""
-    adj = _tree_lists(g)
-    return _rooted_order(adj, [len(a) for a in adj], _least_leaves(adj)[1][0])
+    """The rooted order attaining r(T) at the label-smallest minimum leaf,
+    as ``_least_leaves`` built it; nothing is rooted here."""
+    return _least_leaves(_tree_lists(g))[0]
 
 
-def _least_leaves(adj: list[list[int]]) -> tuple[DegreeProfile, tuple[int, ...]]:
-    """r(T) and the minimum leaves, by label, of a tree given by its
+def _least_leaves(adj: list[list[int]]) -> tuple[RootedOrder, tuple[int, ...]]:
+    """The rooted order at the label-smallest minimum leaf, whose profile
+    is r(T), and the minimum leaves by label, of a tree given by its
     adjacency lists, which are trusted to describe a tree on at least one
-    vertex; one leaf per neighbour is rooted (see the module docstring)."""
+    vertex; one leaf per neighbour is rooted, each bounded by the least
+    rooting so far (see the module docstring)."""
     deg = [len(a) for a in adj]
     # leaf -> its neighbour; the one-vertex tree's sole vertex is its own
     leaves = {v: adj[v][0] if adj[v] else v for v in range(len(adj)) if deg[v] <= 1}
@@ -116,41 +126,23 @@ def _least_leaves(adj: list[list[int]]) -> tuple[DegreeProfile, tuple[int, ...]]
     for v, w in leaves.items():
         if deg[w] == least:
             first.setdefault(w, v)
-    best: list[int] = []
+    best: RootedOrder | None = None
     winners: set[int] = set()
+    # the least leaves come in label order, so the first rooting to attain
+    # the final minimum is the one at the label-smallest minimum leaf
     for w, v in first.items():
-        seq = _layer_degrees(adj, deg, v, best)
-        if seq is None:
+        ro = _rooted_order(adj, v, best.profile if best else ())
+        if ro is None:
             continue
-        if seq != best:
-            best, winners = seq, set()
+        if best is None or ro.profile != best.profile:
+            best, winners = ro, set()
         winners.add(w)
-    return tuple(best), tuple(v for v, w in leaves.items() if w in winners)
-
-
-def _layer_degrees(
-    adj: list[list[int]], deg: list[int], root: int, bound: list[int]
-) -> list[int] | None:
-    """The degrees along the layer-sorted sequence at ``root``, or None as
-    soon as a prefix of it exceeds a non-empty ``bound``."""
-    seen = [False] * len(adj)
-    seen[root] = True
-    seq: list[int] = []
-    layer = [root]
-    while layer:
-        seq += sorted([deg[v] for v in layer])
-        if bound and seq > bound[: len(seq)]:
-            return None
-        # in a tree each vertex of the next layer has one neighbour in this one
-        layer = [w for v in layer for w in adj[v] if not seen[w]]
-        for w in layer:
-            seen[w] = True
-    return seq
+    return best, tuple(v for v, w in leaves.items() if w in winners)
 
 
 def min_degree_sequence(g: SimpleGraph) -> DegreeProfile:
     """r(T) = min over all roots of r(T, root)."""
-    return _least_leaves(_tree_lists(g))[0]
+    return _least_leaves(_tree_lists(g))[0].profile
 
 
 def minimum_leaves(g: SimpleGraph) -> tuple[int, ...]:

@@ -129,9 +129,13 @@ def verify_tau_isomorphism(
     True when  tau(v) = max(witness(v))  is a bijection of V(G) onto the
     positions 1..n carrying every edge of G onto an edge of the position
     tree of ``lam``.  Equal edge counts make that a full isomorphism test.
+    A witness that does not give each vertex of G exactly one block is
+    False.
     """
-    tau = tau_map(witness)
     n = g.n
+    if sorted(v for v, _ in witness.assignment) != list(range(n)):
+        return False
+    tau = tau_map(witness)
     if sorted(tau.values()) != list(range(1, n + 1)):
         return False
     ptree = position_tree(lam)

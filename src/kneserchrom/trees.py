@@ -162,7 +162,7 @@ def _code_profile(code: str) -> tuple[int, ...]:
     serves.  Cached by code in a bounded ``lru_cache`` of 4096 entries, so
     each distinct tree is profiled once per process; at ``LAMBDA_T_CAP`` it
     holds the 200 tree classes of all 95 trees."""
-    return _least_leaves(_code_adjacency(code))[0]
+    return _least_leaves(_code_adjacency(code))[0].profile
 
 
 def _minimal_tree_classes(codes) -> tuple[TreeClasses, tuple[int, ...]]:

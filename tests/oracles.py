@@ -171,8 +171,7 @@ def every_leaf_rootings(adj):
     label.  Each rooting is the package's ``profiles._rooted_order``, which
     ``test_profiles`` checks against ``brute_min_profile``: only the choice
     of roots (one leaf per neighbour, with an early stop) is under test."""
-    deg = [len(a) for a in adj]
-    rootings = [profiles._rooted_order(adj, deg, v) for v in range(len(adj)) if deg[v] <= 1]
+    rootings = [profiles._rooted_order(adj, v) for v in range(len(adj)) if len(adj[v]) <= 1]
     best = min(ro.profile for ro in rootings)
     return tuple(ro for ro in rootings if ro.profile == best)
 

@@ -141,7 +141,63 @@ def test_rootings_of_one_leaf_per_neighbour_equal_every_leaf_rootings():
             for h in (t, relabel(t, list(range(n))[::-1])):
                 adj = _tree_adjacency(n, h.edges)
                 expected = every_leaf_rootings(adj)
-                deg = [len(a) for a in adj]
-                rootings = tuple(profiles._rooted_order(adj, deg, v) for v in minimum_leaves(h))
+                rootings = tuple(profiles._rooted_order(adj, v) for v in minimum_leaves(h))
                 assert rootings == expected, h
                 assert profiles._least_rooting(h) == expected[0], h
+
+
+def test_bounded_rooting_stops_exactly_when_it_exceeds_the_bound():
+    # a bound is the profile of another leaf's rooting: the walk gives up
+    # only when its own sequence is the larger one, and otherwise returns
+    # the unbounded rooting unchanged
+    for n in range(2, 11):
+        for t in enumerate_trees(n):
+            adj = _tree_adjacency(n, t.edges)
+            leaves = [v for v in range(n) if len(adj[v]) == 1]
+            full = {v: profiles._rooted_order(adj, v) for v in leaves}
+            for v in leaves:
+                for u in leaves:
+                    bounded = profiles._rooted_order(adj, v, bound=full[u].profile)
+                    if full[v].profile > full[u].profile:
+                        assert bounded is None, (t, v, u)
+                    else:
+                        assert bounded == full[v], (t, v, u)
+
+
+def _count_rootings(monkeypatch):
+    calls = []
+    walk = profiles._rooted_order
+
+    def counted(adj, root, bound=()):
+        calls.append(root)
+        return walk(adj, root, bound)
+
+    monkeypatch.setattr(profiles, "_rooted_order", counted)
+    return calls
+
+
+def test_augmentation_roots_no_more_than_the_profile(monkeypatch):
+    # the least rooting is the one the minimum-leaf pass built, not a
+    # second walk from the least minimum leaf
+    calls = _count_rootings(monkeypatch)
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            calls.clear()
+            min_degree_sequence(t)
+            profiled = len(calls)
+            calls.clear()
+            augment_tree_lambda(t)
+            assert len(calls) == profiled, t
+
+
+def test_verify_trees_rootings_are_counted(monkeypatch):
+    # 644 after the trees are enumerated and the class profiles are
+    # forgotten; a second rooting of each least leaf made 739
+    from kneserchrom import verify_trees
+
+    for n in range(1, 10):
+        enumerate_trees(n)
+    _code_profile.cache_clear()
+    calls = _count_rootings(monkeypatch)
+    assert verify_trees(9, witness=True)["summary"]["all_pass"] is True
+    assert len(calls) == 644

@@ -171,6 +171,26 @@ def test_tau_isomorphism_rejects_repeated_position():
     assert not verify_tau_isomorphism(P3, lam, repeated)
 
 
+def test_tau_isomorphism_rejects_vertices_outside_the_graph():
+    from kneserchrom.kneser import AdmissibleWitness
+
+    lam = augment_tree_lambda(P3).lam
+    # tau = {0: 1, 1: 2, 5: 3} is a bijection onto the positions, but of
+    # {0, 1, 5}, not of V(P3): vertex 2 has no block
+    foreign = AdmissibleWitness(((0, (0, 1)), (1, (1, 2)), (5, (1, 3))))
+    assert not verify_tau_isomorphism(P3, lam, foreign)
+
+
+def test_tau_isomorphism_rejects_repeated_vertex():
+    from kneserchrom.kneser import AdmissibleWitness
+
+    lam = augment_tree_lambda(P3).lam
+    # vertex 1 has two blocks; the later one wins in tau, which then reads
+    # as the bijection {0: 1, 1: 2, 2: 3} carrying both path edges
+    repeated = AdmissibleWitness(((0, (0, 1)), (1, (0, 9)), (1, (1, 2)), (2, (2, 3))))
+    assert not verify_tau_isomorphism(P3, lam, repeated)
+
+
 def test_source_class_matches_min_profile():
     # the reconstruction chooses a class attaining the minimal profile
     from kneserchrom import lambda_t_tilde
