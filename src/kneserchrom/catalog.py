@@ -22,7 +22,6 @@ from .graphs import (
     SimpleGraph,
     _check_simple,
     _tree_code,
-    _tree_form,
     canonical_form,
     graph_from_form,
 )
@@ -84,16 +83,12 @@ def fingerprint(series: PSeries, seed: int = DEFAULT_SEED) -> Fingerprint:
 
 
 def canonical_graph6(g: SimpleGraph) -> str:
-    """graph6 string of the canonical representative -- an isomorphism key.
+    """graph6 string of the canonical representative -- an isomorphism key,
+    which ``write_graph6`` gives directly for an enumerated representative.
     A multigraph with a repeated edge raises ``ValueError``: graph6 cannot
     spell it."""
     _check_simple(g, "canonical graph6")
-    return _form_graph6(canonical_form(g))
-
-
-def _form_graph6(form: str) -> str:
-    """graph6 string of the simple graph a form string names."""
-    return write_graph6(graph_from_form(form))
+    return write_graph6(graph_from_form(canonical_form(g)))
 
 
 class SeriesCache:
@@ -188,9 +183,10 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
     For each tree: extract the tree classes of its k = 2 invariant, profile
     them, reconstruct, and compare with the original up to isomorphism.
     Afterwards check that no two trees produced the same tree-class set.
-    Each tree's centre-rooted code is built once: its form, its graph6 and
-    its tree classes are all read off that code, and the rebuilt tree is
-    compared by form, so its graph6 is written only when the forms differ.
+    Each tree's centre-rooted code is its one identity: its classes are
+    read off it, injectivity compares code sets and the rebuild is compared
+    by code.  The enumerated representative is canonical already, so its
+    graph6 is written from it directly.
     With ``witness`` also confirm, per tree, that an admissibility witness
     of its canonical augmented multiset is a bijection onto that multiset
     with intersecting blocks on every edge, and that it induces a position
@@ -207,18 +203,16 @@ def verify_trees(n_max: int, *, witness: bool = False) -> dict:
     for n in range(1, n_max + 1):
         for tree in enumerate_trees(n):
             started = time.perf_counter()
-            # one centre-rooted code names the tree, its form and its classes
+            # one centre-rooted code names the tree and its classes
             code = _tree_code(tree.n, tree.edges)
-            form = _tree_form(code)[0]
-            g6 = _form_graph6(form)
+            g6 = write_graph6(tree)
             codes = _code_lambda_t(code)
             tilde, profile = _minimal_tree_classes(codes)
             rebuilt = _delete_minimum_leaf(tilde).graph
-            # a rebuild equal to the input as a labelled tree needs no code
-            rebuilt_form = form if rebuilt == tree else canonical_form(rebuilt)
-            # forms are equal exactly for isomorphic trees
-            ok = rebuilt_form == form
-            reconstructed = g6 if ok else _form_graph6(rebuilt_form)
+            # codes are equal exactly for isomorphic trees; a rebuild equal
+            # to the input as a labelled tree needs none
+            ok = rebuilt == tree or _tree_code(rebuilt.n, rebuilt.edges) == code
+            reconstructed = g6 if ok else canonical_graph6(rebuilt)
             record = {
                 "n": n,
                 "graph6": g6,
@@ -272,15 +266,17 @@ def collide_search(
 ) -> dict:
     """Search all graphs (per vertex count) for equal invariants.
 
-    Graphs are grouped by vertex count and fingerprint; pairs within a
-    group are decided exactly by their terms, since the class products are
-    linearly independent (see the basis note in ``kneser``): equal terms
-    mean equal ``true_basis`` vectors and equal functions.  Equal terms land
-    in ``collisions``, whose ``representation_equal`` is therefore always
-    true; unequal terms whose low-symbol evaluations happened to match land
-    in ``fingerprint_collisions``.  The latter genuinely occur: two series
-    can agree on every value map with at most 6 symbols yet differ in
-    disjoint-support classes spreading over more symbols.
+    Graphs are grouped by vertex count and fingerprint, each named by the
+    graph6 of its (canonical) ``enumerate_graphs`` representative; pairs
+    within a group are decided exactly by their terms, since the class
+    products are linearly independent (see the basis note in ``kneser``):
+    equal terms mean equal ``true_basis`` vectors and equal functions.
+    Equal terms land in ``collisions``, whose ``representation_equal`` is
+    therefore always true; unequal terms whose low-symbol evaluations
+    happened to match land in ``fingerprint_collisions``.  The latter
+    genuinely occur: two series can agree on every value map with at most 6
+    symbols yet differ in disjoint-support classes spreading over more
+    symbols.
     An ``n_max`` above ``PSUM_VERTEX_CAP``, or (k = 2) with K_{n_max} above
     ``PSUM_SUBSET_CAP``, raises ``CapExceededError`` before any series, and
     a seed that is not an int (a bool included) ``ValueError``.
@@ -299,7 +295,7 @@ def collide_search(
             graphs_seen += 1
             series = cached_psum(g, k, "witness", cache)
             fp = fingerprint(series, seed)
-            groups.setdefault(fp.residues, []).append((canonical_graph6(g), series))
+            groups.setdefault(fp.residues, []).append((write_graph6(g), series))
         for members in groups.values():
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):

@@ -30,7 +30,7 @@ from .catalog import (
 from .graph6 import Graph6Error, parse_graph6
 from .graphs import CapExceededError, SimpleGraph, is_tree
 from .kneser import PSeries
-from .profiles import minimum_leaves, rooted_order
+from .profiles import _least_leaves, _tree_lists
 from .reconstruct import reconstruct_from_invariant
 
 
@@ -142,8 +142,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph6)
     if not is_tree(g):
         raise ValueError("profile is defined for trees")
-    leaves = minimum_leaves(g)
-    ro = rooted_order(g, leaves[0])
+    # one minimum-leaf pass gives the leaves and the rooting at the first
+    ro, leaves = _least_leaves(_tree_lists(g))
     profile = ro.profile
     if args.json:
         _emit_json(

@@ -34,15 +34,24 @@ from .graphs import (
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
 
 
-@lru_cache(maxsize=VERTEX_CAP + 1)
+def _check_size(n: int, what: str) -> None:
+    """Refuse an ``n`` that is not an int (a bool included) or below 1."""
+    if type(n) is not int:  # True == 1, but is no size
+        raise ValueError(f"{what} needs an integer n (got {n!r})")
+    if n < 1:
+        raise ValueError(f"{what} needs n >= 1")
+
+
+# typed: a cached 1 must not answer for True
+@lru_cache(maxsize=VERTEX_CAP + 1, typed=True)
 def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
     """All free trees on ``n`` vertices, one canonical representative each.
 
     Deterministic: representatives are rebuilt from their canonical forms
-    and sorted by form string.
+    and sorted by form string.  An ``n`` that is not an int raises
+    ``ValueError``.
     """
-    if n < 1:
-        raise ValueError("tree enumeration needs n >= 1")
+    _check_size(n, "tree enumeration")
     _check_vertex_cap(n, "tree enumeration")
     if n == 1:
         return (SimpleGraph.from_edges(1, []),)
@@ -51,44 +60,33 @@ def enumerate_trees(n: int) -> tuple[SimpleGraph, ...]:
         for t in enumerate_trees(n - 1)
         for v in range(t.n)
     }
-    out = []
-    for form in sorted(_tree_form(c)[0] for c in codes):
-        g = graph_from_form(form)
-        assert isinstance(g, SimpleGraph)
-        out.append(g)
-    return tuple(out)
+    return tuple(graph_from_form(f) for f in sorted(_tree_form(c)[0] for c in codes))
 
 
-@lru_cache(maxsize=VERTEX_CAP + 1)
+@lru_cache(maxsize=VERTEX_CAP + 1, typed=True)
 def enumerate_graphs(n: int) -> tuple[SimpleGraph, ...]:
     """All simple graphs on ``n`` vertices up to isomorphism.
 
-    Grown level by level in the edge count; intended for small n (the count
-    explodes past n = 7).  Output is sorted by (edge count, canonical form).
+    Grown level by level in the edge count: level m holds exactly the
+    graphs with m edges, so the output is each level's canonical
+    representatives sorted by form, level after level.  Intended for small
+    n (the count explodes past n = 7); an ``n`` that is not an int raises
+    ``ValueError``.
     """
-    if n < 1:
-        raise ValueError("graph enumeration needs n >= 1")
+    _check_size(n, "graph enumeration")
     if n > 7:
         raise CapExceededError(f"graph enumeration capped at 7 vertices (got {n})")
+    out: list[SimpleGraph] = []
     level = {canonical_form(SimpleGraph.from_edges(n, []))}
-    all_forms = set(level)
-    max_edges = n * (n - 1) // 2
-    for _ in range(max_edges):
-        nxt: set[str] = set()
-        for form in level:
-            g = graph_from_form(form)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if (u, v) not in g.edges:
-                        nxt.add(canonical_form(g.with_edge(u, v)))
-        if not nxt:
-            break
-        all_forms |= nxt
-        level = nxt
-    out = []
-    for form in sorted(all_forms, key=lambda f: (len(graph_from_form(f).edges), f)):
-        g = graph_from_form(form)
-        assert isinstance(g, SimpleGraph)
-        out.append(g)
+    while level:
+        reps = [graph_from_form(form) for form in sorted(level)]
+        out += reps
+        level = {
+            canonical_form(g.with_edge(u, v))
+            for g in reps
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (u, v) not in g.edges
+        }
     return tuple(out)
 

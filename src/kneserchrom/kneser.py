@@ -122,15 +122,15 @@ class AdmissibleWitness:
         )
 
 
-def _search_order(g: SimpleGraph) -> tuple[list[int], list[list[int]]]:
-    """Vertices component by component in BFS order, each component from
-    its vertex of largest degree (least label on ties), plus for each
-    position the positions of its already-placed neighbours.
+def _search_order(adj: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Vertices of a graph given by adjacency lists, component by component
+    in BFS order, each from its vertex of largest degree (least label on
+    ties), plus for each position the positions of its placed neighbours.
 
     Every vertex after the first of its component has at least one earlier
-    neighbour, so adjacency constraints can be checked incrementally."""
-    adj = g.adjacency()
-    seen = [False] * g.n
+    neighbour, so adjacency constraints can be checked incrementally, and
+    components start exactly at the positions with none."""
+    seen = [False] * len(adj)
     order: list[int] = []
     for comp in _components(adj):
         order += _bfs(adj, max(comp, key=lambda v: (len(adj[v]), -v)), seen)
@@ -187,10 +187,11 @@ def _placement(g: SimpleGraph, blocks):
     meets = _rows([members[0] for members in groups])
     caps = [len(members) for members in groups]
     avail = [sum(c for gj, c in enumerate(caps) if row >> gj & 1) - 1 for row in meets]
-    order, earlier = _search_order(g)
-    deg = g.degrees()
-    fits = {d: sum(1 << gi for gi, a in enumerate(avail) if a >= d) for d in set(deg)}
-    fit = [fits[deg[v]] for v in order]
+    adj = g.adjacency()
+    order, earlier = _search_order(adj)
+    degrees = set(map(len, adj))
+    fits = {d: sum(1 << gi for gi, a in enumerate(avail) if a >= d) for d in degrees}
+    fit = [fits[len(adj[v])] for v in order]
     free = (1 << len(groups)) - 1  # groups with capacity left
     chosen: list[int] = []
 
@@ -279,7 +280,7 @@ def _component_weights(form: str, k: int) -> dict[str, int]:
     n, pairs = parse_form(form)
     if k == 1:
         return {singleton_class_string(n): 1}
-    _, earlier = _search_order(SimpleGraph.from_edges(n, pairs))
+    _, earlier = _search_order(SimpleGraph.from_edges(n, pairs).adjacency())
     found: Counter = Counter()
     assign: list[tuple[int, int]] = []
 
@@ -601,25 +602,25 @@ def direct_eval(
     sets = [set(b) for b in blocks]
     disjoint = [[not (sa & sb) for sb in sets] for sa in sets]
 
+    # one search order, cut into components where no neighbour is placed
+    _, earlier = _search_order(g.adjacency())
+    starts = [i for i, e in enumerate(earlier) if not e] + [g.n]
+    chosen = [0] * g.n
     total = 1
-    for comp in graph_components(g):
-        sub = induced_subgraph(g, comp)
-        order, earlier = _search_order(sub)
+    for start, end in zip(starts, starts[1:]):
         comp_total = 0
-        chosen: list[int] = []
 
         def extend(i: int, running: int) -> None:
             nonlocal comp_total
-            if i == len(order):
+            if i == end:
                 comp_total = (comp_total + running) % FIXED_PRIME
                 return
             for bi in range(len(blocks)):
                 if all(disjoint[bi][chosen[j]] for j in earlier[i]):
-                    chosen.append(bi)
+                    chosen[i] = bi
                     extend(i + 1, running * vals[bi] % FIXED_PRIME)
-                    chosen.pop()
 
-        extend(0, 1)
+        extend(start, 1)
         total = total * comp_total % FIXED_PRIME
     return total
 

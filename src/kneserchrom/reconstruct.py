@@ -128,11 +128,13 @@ def verify_tau_isomorphism(
 
     True when  tau(v) = max(witness(v))  is a bijection of V(G) onto the
     positions 1..n carrying every edge of G onto an edge of the position
-    tree of ``lam``.  Equal edge counts make that a full isomorphism test.
-    A witness that does not give each vertex of G exactly one block is
-    False.
+    tree of ``lam``: a full isomorphism test when G has n - 1 edges and
+    ``lam`` n blocks.  Other counts are False, and so is a witness that
+    does not give each vertex of G exactly one block.
     """
     n = g.n
+    if len(lam.blocks) != n or len(g.edges) != n - 1:
+        return False
     if sorted(v for v, _ in witness.assignment) != list(range(n)):
         return False
     tau = tau_map(witness)

@@ -25,6 +25,7 @@ from kneserchrom import (
     parse_graph6,
     relabel,
     verify_trees,
+    write_graph6,
 )
 from kneserchrom import catalog, generate, graphs, kneser, trees
 
@@ -91,6 +92,15 @@ def test_canonical_graph6_stable_under_relabelling():
     h = relabel(g, [4, 0, 3, 1, 2])
     assert canonical_graph6(g) == canonical_graph6(h)
     assert parse_graph6(canonical_graph6(g)).n == 5
+
+
+def test_enumerated_representatives_name_themselves():
+    # verify and collide write the graph6 of an enumerated representative
+    # directly: each one is its own canonical representative
+    for g in [t for n in range(1, 13) for t in enumerate_trees(n)] + [
+        g for n in range(1, 7) for g in enumerate_graphs(n)
+    ]:
+        assert write_graph6(g) == canonical_graph6(g)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +298,13 @@ def test_verify_trees_searches_each_distinct_tree_once(monkeypatch):
     monkeypatch.setattr(graphs, "_canonical_edge_list", counted)
     verify_trees(7)
     monkeypatch.undo()
-    # the trees it names: the inputs and each one's minimal-profile class
+    # the trees it names: the inputs and each one's minimal-profile class;
+    # the one-vertex input is enumerated without a search and verify names
+    # inputs by code, so its form is never searched
     inputs = [t for n in range(1, 8) for t in enumerate_trees(n)]
-    named = {graphs.canonical_form(t) for t in inputs}
+    named = {graphs.canonical_form(t) for t in inputs if t.n > 1}
     named |= {cls[0] for t in inputs for cls in lambda_t_tilde(t)[0]}
-    assert len(searched) == len(set(searched)) == len(named) == 36
+    assert len(searched) == len(set(searched)) == len(named) == 35
     assert set(searched) == named
 
 
@@ -318,6 +330,29 @@ def test_verify_trees_builds_each_input_tree_once(monkeypatch):
     assert [calls[(t.n, t.edges)] for t in inputs] == [1] * 95
     # the other calls name rebuilt trees, each labelled tree once
     assert set(calls.values()) == {1}
+
+
+def test_verify_trees_decodes_no_form_and_canonicalises_no_tree(monkeypatch):
+    # the enumerated representatives are canonical, so the record names each
+    # input by write_graph6 and the round trip compares codes; naming them
+    # through forms made 95 graph_from_form and 72 canonical_form calls here
+    for n in range(1, 10):
+        enumerate_trees(n)
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(catalog, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return counted
+
+    for name in ("graph_from_form", "canonical_form"):
+        monkeypatch.setattr(catalog, name, counting(name))
+    assert verify_trees(9, witness=True)["summary"]["all_pass"] is True
+    assert calls == Counter()
 
 
 def test_verify_trees_rejects_bad_bound():

@@ -124,6 +124,24 @@ def test_profile_json(capsys):
     assert data["n"] == 4
 
 
+def test_profile_roots_the_tree_once(capsys, monkeypatch):
+    from kneserchrom import profiles
+
+    roots = []
+    walk = profiles._rooted_order
+
+    def counted(adj, root, bound=()):
+        roots.append(root)
+        return walk(adj, root, bound)
+
+    monkeypatch.setattr(profiles, "_rooted_order", counted)
+    code, out, _ = run_cli(capsys, "profile", "H???F?^")
+    assert code == 0
+    assert out.splitlines()[-1] == "rooted order (root 0): 0 7 1 2 8 3 4 5 6"
+    # the minimum-leaf pass roots one leaf and hands its rooting on
+    assert roots == [0]
+
+
 def test_profile_rejects_non_tree(capsys):
     code, _, err = run_cli(capsys, "profile", "Bw")  # triangle
     assert code == 2

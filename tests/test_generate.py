@@ -92,3 +92,13 @@ def test_enumeration_refuses_empty_graphs():
         with pytest.raises(ValueError) as exc:
             enumerate_(0)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 3.0, "3", None])
+def test_enumeration_refuses_sizes_that_are_not_ints(bad):
+    # warm caches first: a cached 1 must not answer for True (True == 1)
+    for enumerate_ in (enumerate_trees, enumerate_graphs):
+        enumerate_(1)
+        with pytest.raises(ValueError) as exc:
+            enumerate_(bad)
+        assert "needs an integer n" in str(exc.value)

@@ -98,7 +98,7 @@ def test_search_order_matches_reference_bfs():
         rng.shuffle(perm)
         for edges in (list(ng.edges()), [(perm[u], perm[v]) for u, v in ng.edges()]):
             g = SimpleGraph.from_edges(n, edges)
-            assert _search_order(g) == reference_search_order(n, g.sorted_edges())
+            assert _search_order(g.adjacency()) == reference_search_order(n, g.sorted_edges())
 
 
 def test_is_admissible_frozen_examples():

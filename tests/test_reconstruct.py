@@ -191,6 +191,24 @@ def test_tau_isomorphism_rejects_repeated_vertex():
     assert not verify_tau_isomorphism(P3, lam, repeated)
 
 
+def test_tau_isomorphism_rejects_a_wrong_block_or_edge_count():
+    from kneserchrom.kneser import AdmissibleWitness
+
+    # four blocks for three vertices: tau = {0: 1, 1: 2, 2: 3} carries both
+    # path edges onto position edges, but the position tree has 4 positions
+    four = Lambda.from_blocks(2, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert not verify_tau_isomorphism(
+        P3, four, AdmissibleWitness(((0, (0, 1)), (1, (1, 2)), (2, (1, 3))))
+    )
+    # no edges at all are carried trivially, yet two isolated vertices are
+    # not the position tree on 2 positions
+    two = Lambda.from_blocks(2, [(0, 1), (1, 2)])
+    edgeless = SimpleGraph.from_edges(2, [])
+    assert not verify_tau_isomorphism(
+        edgeless, two, AdmissibleWitness(((0, (0, 1)), (1, (1, 2))))
+    )
+
+
 def test_source_class_matches_min_profile():
     # the reconstruction chooses a class attaining the minimal profile
     from kneserchrom import lambda_t_tilde
