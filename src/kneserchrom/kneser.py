@@ -77,7 +77,6 @@ from .graphs import (
     automorphism_count,
     canonical_form,
     graph_components,
-    graph_from_form,
     induced_subgraph,
     is_connected,
     parse_form,
@@ -403,6 +402,8 @@ class PSeries:
             # int() would truncate 1.9 or true; bool is a subclass of int
             if any(type(x) is not int for x in (n, k, *(c for _, c in entries))):
                 raise TypeError("n, k and every coeff must be integers")
+            if n < 1:
+                raise ValueError(f"a series needs at least one vertex (got n = {n})")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed series payload: {exc}") from exc
         _check_k(k)
@@ -508,28 +509,22 @@ def _psum_k1(g: SimpleGraph) -> dict[PClass, int]:
     return {tuple(sorted(map(singleton_class_string, s))): v for s, v in full.items() if v}
 
 
-@lru_cache(maxsize=1 << 10)
-def _psum_terms(form: str, k: int, coeffs: str) -> tuple[tuple[PClass, int], ...]:
-    """The series terms of the graph named by ``form``, as (class, coeff)
-    items, so that every caller builds its own dict from them."""
-    g = graph_from_form(form)
-    assert isinstance(g, SimpleGraph)
-    terms = _psum_k1(g) if k == 1 else _psum_subsets(g, k, coeffs == "witness")
-    return tuple(terms.items())
-
-
-def kneser_psum(g: SimpleGraph, k: int, *, coeffs: str = "witness") -> PSeries:
+def kneser_psum(g: SimpleGraph | Multigraph, k: int, *, coeffs: str = "witness") -> PSeries:
     """The invariant X_k(G) in the power-sum basis (see module docstring).
 
     ``coeffs="witness"`` gives the genuine expansion (what the evaluation
     oracle reproduces); ``coeffs="indicator"`` counts each admissible class
-    once per spanning subgraph.  Capped at ``PSUM_VERTEX_CAP`` vertices and,
-    for k = 2, at ``PSUM_SUBSET_CAP`` spanning subgraphs.  A multigraph with
-    a repeated edge raises ``ValueError`` before any work.
+    once per spanning subgraph.  The series is an isomorphism invariant, so
+    its terms are computed on the labelling given.  Capped at
+    ``PSUM_VERTEX_CAP`` vertices and, for k = 2, at ``PSUM_SUBSET_CAP``
+    spanning subgraphs.  A multigraph with a repeated edge raises
+    ``ValueError`` before any work.
     """
     _check_simple(g, "power-sum expansion")
     _check_series_args(g.n, len(g.edges), k, coeffs, "power-sum expansion")
-    return PSeries(g.n, k, coeffs, dict(_psum_terms(canonical_form(g), k, coeffs)))
+    g = g.simple() if isinstance(g, Multigraph) else g
+    terms = _psum_k1(g) if k == 1 else _psum_subsets(g, k, coeffs == "witness")
+    return PSeries(g.n, k, coeffs, terms)
 
 
 # ---------------------------------------------------------------------------

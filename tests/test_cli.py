@@ -73,8 +73,17 @@ def test_invariant_cache_file(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "bad",
-    [[1, 2], 5, {"graph6": 5}, {"k": 2.9}, {"k": "2"}],
-    ids=["list", "number", "graph6-not-string", "k-float", "k-string"],
+    [
+        [1, 2],
+        5,
+        {"graph6": 5},
+        {"k": 2.9},
+        {"k": "2"},
+        # "?" is the graph6 of the empty graph, which has no series
+        {"graph6": "?", "series": {"n": 0, "k": 2, "coeffs": "witness", "terms": []}},
+        {"graph6": "?", "series": {"n": -3, "k": 2, "coeffs": "witness", "terms": []}},
+    ],
+    ids=["list", "number", "graph6-not-string", "k-float", "k-string", "n-zero", "n-negative"],
 )
 def test_exit_code_malformed_cache_record(capsys, tmp_path, bad):
     # a valid record of A_ is written first, then replaced by the bad line
@@ -306,6 +315,9 @@ PATH21 = "21:" + json.dumps([[i, i + 1] for i in range(20)], separators=(",", ":
         {"n": 20, "k": 2, "terms": [{"class": [PATH21], "coeff": 1}]},
         # a class of a series on n vertices has n blocks, not 1
         {"n": 2, "k": 2, "terms": [{"class": ["2:[[0,1]]"], "coeff": 1}]},
+        # a series has at least one vertex
+        {"n": 0, "k": 2, "terms": []},
+        {"n": -3, "k": 2, "terms": []},
     ],
 )
 def test_exit_code_reconstruct_malformed_terms(capsys, monkeypatch, payload):

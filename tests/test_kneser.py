@@ -520,6 +520,27 @@ def test_k1_series_at_the_vertex_cap(monkeypatch):
     assert _psum_k1(k7) == expected
 
 
+def test_k1_series_names_no_graph(monkeypatch):
+    # kneser_psum computes k = 1 terms on the labelling it is given, with no
+    # canonical search; the sha256 over the sorted terms of K7, C7 and P7 was
+    # recorded from the earlier route that looked the series up by form
+    def refuse(g):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr(kneser, "canonical_form", refuse)
+    digest = hashlib.sha256()
+    for edges in (
+        [(a, b) for a in range(7) for b in range(a + 1, 7)],
+        [(i, (i + 1) % 7) for i in range(7)],
+        [(i, i + 1) for i in range(6)],
+    ):
+        terms = kneser_psum(SimpleGraph.from_edges(7, edges), 1).terms
+        digest.update(repr(sorted(terms.items())).encode())
+    assert digest.hexdigest() == (
+        "9b542314cc078ff566cf9ddad3cd8d6b206f6f134314104c352e974ddf51f9a6"
+    )
+
+
 def test_large_class_vanishes_below_symbol_count():
     series = kneser_psum(K2, 2)
     # at m = 2 only one block exists, so no proper assignment of the edge
@@ -635,8 +656,8 @@ def test_subset_budget_refuses_before_any_subset_loop(monkeypatch):
             lambda_support(k7, 2, coeffs=coeffs)
     # k = 1 takes the partition route, which the budget does not cover
     assert kneser_psum(k7, 1).terms
-    # K6 passes the check and reaches the series lookup
-    monkeypatch.setattr(kneser, "_psum_terms", lambda form, k, coeffs: ())
+    # K6 passes the check and reaches the subset route
+    monkeypatch.setattr(kneser, "_psum_subsets", lambda g, k, witness: {})
     k6 = SimpleGraph.from_edges(6, [(a, b) for a in range(6) for b in range(a + 1, 6)])
     assert kneser_psum(k6, 2).terms == {}
 

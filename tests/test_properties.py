@@ -121,11 +121,11 @@ def test_series_evaluation_equals_direct_evaluation(g, m, seed):
 @given(relabelled(graphs(max_n=6, max_edges=SERIES_MAX_EDGES)))
 def test_series_and_true_basis_are_relabel_invariant(case):
     g, _, h = case
-    for k in (1, 2):
-        series = kneser_psum(g, k)
-        assert kneser_psum(h, k).terms == series.terms
-        assert true_basis(kneser_psum(h, k)) == true_basis(series)
-    # past the cache keyed by canonical form: the subset route on the relabelled graph itself
+    for k, coeffs in ((1, "witness"), (2, "indicator"), (2, "witness")):
+        series, again = kneser_psum(g, k, coeffs=coeffs), kneser_psum(h, k, coeffs=coeffs)
+        assert again.terms == series.terms
+        assert true_basis(again) == true_basis(series)
+    # the k = 2 witness subset route, called on h itself
     assert _psum_subsets(h, 2, True) == series.terms
 
 
