@@ -82,7 +82,7 @@ from .graphs import (
     parse_form,
     singleton_class_string,
 )
-from .profiles import _least_rooting
+from .profiles import _least_leaves, _tree_lists
 from .trees import _lambda_t_codes, _minimal_tree_classes, _series_tree_codes
 
 #: full subset expansions are enumerated only up to this many vertices
@@ -886,8 +886,8 @@ def lambda_t_tilde(g: SimpleGraph) -> tuple[frozenset[PClass], tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class TreeAugmentation:
-    """Output of ``augment_tree_lambda``: the block multiset, the per-vertex
-    assignment realising it, and the rooted order it was read from."""
+    """Output of ``augment_tree_lambda``: the block multiset and the
+    per-vertex assignment realising it, sorted by vertex."""
 
     lam: Lambda
     assignment: tuple[tuple[int, tuple[int, int]], ...]
@@ -905,7 +905,7 @@ def augment_tree_lambda(g: SimpleGraph) -> TreeAugmentation:
     with one pendant symbol attached at the root, so its minimum profile is
     (1, 1 + r(T)_1, r(T)_2, ..., r(T)_n).
     """
-    ro = _least_rooting(g)
+    ro = _least_leaves(_tree_lists(g))[0]
     assignment = []
     for i, v in enumerate(ro.order):
         pos = i + 1

@@ -105,12 +105,6 @@ def min_rooted_degree_sequence(g: SimpleGraph, root: int) -> DegreeProfile:
     return rooted_order(g, root).profile
 
 
-def _least_rooting(g: SimpleGraph) -> RootedOrder:
-    """The rooted order attaining r(T) at the label-smallest minimum leaf,
-    as ``_least_leaves`` built it; nothing is rooted here."""
-    return _least_leaves(_tree_lists(g))[0]
-
-
 def _least_leaves(adj: list[list[int]]) -> tuple[RootedOrder, tuple[int, ...]]:
     """The rooted order at the label-smallest minimum leaf, whose profile
     is r(T), and the minimum leaves by label, of a tree given by its

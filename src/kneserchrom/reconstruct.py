@@ -10,10 +10,10 @@ is such a class, and deleting its pendant root symbol undoes the
 augmentation.
 
 The procedure is deterministic end to end: the canonically smallest
-minimal-profile class is chosen, its canonical representative is
-materialised, and the label-smallest minimum leaf is deleted.  Every step
-reads only isomorphism-invariant data, so isomorphic inputs reconstruct to
-the identical labelled tree.
+minimal-profile class is chosen, its symbol tree is read off the pairs of
+its canonical form, and the label-smallest minimum leaf is deleted.  Every
+step reads only isomorphism-invariant data, so isomorphic inputs
+reconstruct to the identical labelled tree.
 
 ``verify_tau_isomorphism`` checks the companion witness statement: for the
 canonical parent-position multiset of a tree, *any* admissibility witness
@@ -25,15 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    Lambda,
-    SimpleGraph,
-    graph_from_form,
-    induced_subgraph,
-    is_tree,
-)
+from .graphs import Lambda, SimpleGraph, induced_subgraph, is_tree, parse_form
 from .kneser import AdmissibleWitness, PClass, PSeries
-from .profiles import minimum_leaves
+from .profiles import _least_leaves
 from .trees import _minimal_profile, _minimal_tree_classes, _series_tree_codes
 
 
@@ -69,13 +63,13 @@ def reconstruct_from_lambda_t(classes) -> ReconstructionResult:
 
 def _delete_minimum_leaf(minimal) -> ReconstructionResult:
     """The reconstruction step of ``reconstruct_from_lambda_t`` on classes
-    already known to be the minimal-profile ones."""
+    already known to be the minimal-profile ones, named by the canonical
+    forms ``_minimal_tree_classes`` made; the chosen form's symbol tree is
+    built once, with no check or cap of its own."""
     chosen = min(minimal)
-    augmented = graph_from_form(chosen[0])
-    assert isinstance(augmented, SimpleGraph)
-    leaf = minimum_leaves(augmented)[0]
-    rest = [v for v in range(augmented.n) if v != leaf]
-    graph = induced_subgraph(augmented, rest)
+    augmented = SimpleGraph.from_edges(*parse_form(chosen[0]))
+    leaf = _least_leaves(augmented.adjacency())[1][0]
+    graph = induced_subgraph(augmented, [v for v in range(augmented.n) if v != leaf])
     return ReconstructionResult(graph, chosen, leaf)
 
 
@@ -105,8 +99,11 @@ def position_tree(lam: Lambda) -> SimpleGraph:
     Blocks of the multiset are {parent position, position} pairs plus the
     pendant root block {0, 1}; dropping symbol 0 leaves a tree on the n
     positions (returned 0-based: position i becomes vertex i - 1).
+    ``ValueError`` when the blocks of ``lam`` cut out no such tree.
     """
     n = len(lam.blocks)
+    if lam.k != 2:
+        raise ValueError("position trees are cut out of 2-element blocks")
     edges = [(a - 1, b - 1) for a, b in lam.blocks if a > 0]
     g = SimpleGraph.from_edges(n, edges)
     if not is_tree(g):
@@ -129,8 +126,9 @@ def verify_tau_isomorphism(
     True when  tau(v) = max(witness(v))  is a bijection of V(G) onto the
     positions 1..n carrying every edge of G onto an edge of the position
     tree of ``lam``: a full isomorphism test when G has n - 1 edges and
-    ``lam`` n blocks.  Other counts are False, and so is a witness that
-    does not give each vertex of G exactly one block.
+    ``lam`` n blocks.  Other counts are False, and so are a ``lam`` with no
+    position tree and a witness that does not give each vertex of G exactly
+    one block.
     """
     n = g.n
     if len(lam.blocks) != n or len(g.edges) != n - 1:
@@ -140,7 +138,10 @@ def verify_tau_isomorphism(
     tau = tau_map(witness)
     if sorted(tau.values()) != list(range(1, n + 1)):
         return False
-    ptree = position_tree(lam)
+    try:
+        ptree = position_tree(lam)
+    except ValueError:
+        return False
     return all(
         (min(tau[u], tau[v]) - 1, max(tau[u], tau[v]) - 1) in ptree.edges
         for u, v in g.edges

@@ -41,14 +41,22 @@ def _check_tree_cap(n: int, what: str) -> None:
         raise CapExceededError(f"{what} capped at {LAMBDA_T_CAP} vertices (got {n})")
 
 
-def _form_code(form: str) -> str | None:
+def _form_code(form) -> str | None:
     """The centre-rooted code of the tree a form string names, or None when
-    it names no tree.  A form on more than ``VERTEX_CAP`` symbols raises
+    it names no tree, is no string, or holds a pair that is not two ints (a
+    bool is no vertex).  A form on more than ``VERTEX_CAP`` symbols raises
     ``CapExceededError`` before any code is built: ``canonical_form`` could
     not name it."""
-    n, pairs = parse_form(form)
+    if not isinstance(form, str):
+        return None
+    try:
+        n, pairs = parse_form(form)
+    except (TypeError, ValueError):
+        return None
     _check_vertex_cap(n, "tree classes")
-    return _tree_code(n, pairs) if all(len(p) == 2 for p in pairs) else None
+    if not all(len(p) == 2 and type(p[0]) is type(p[1]) is int for p in pairs):
+        return None
+    return _tree_code(n, pairs)
 
 
 # ---------------------------------------------------------------------------

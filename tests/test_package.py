@@ -2,7 +2,8 @@
 of the package or the tests imports a name it never uses, only ``graphs``
 and ``trees`` decode or slice a tree code, only ``graphs._tree_code`` builds
 one from a labelled tree, one centre rule re-roots codes, ``catalog`` and ``cli`` hold no size cap of their
-own, no module-level cache of the package grows without bound, no package
+own, every internal profile read goes through ``profiles._least_leaves``,
+no module-level cache of the package grows without bound, no package
 check is an ``assert`` that ``python -O`` would strip, and every name the
 benchmark traces still exists."""
 
@@ -75,6 +76,36 @@ def test_centre_code_has_one_builder():
                 ]
     assert "_centre_code" not in defined and "_centre_rooted" in defined
     assert sorted(callers) == ["graphs._tree_code", "trees._code_lambda_t"]
+
+
+#: public profile reads: each checks and builds the tree it is given
+PUBLIC_PROFILE_READS = {
+    "minimum_leaves",
+    "min_degree_sequence",
+    "min_rooted_degree_sequence",
+    "rooted_order",
+}
+
+
+def test_internal_profile_reads_go_through_least_leaves():
+    # the package reads profiles through profiles._least_leaves on
+    # adjacency lists it already holds; the public reads may build on one
+    # another, but no other package function calls them
+    defined, callers = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(func.name)
+                callers |= {
+                    f"{path.stem}.{func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in PUBLIC_PROFILE_READS
+                }
+    assert "_least_rooting" not in defined and "_least_leaves" in defined
+    assert callers <= {f"profiles.{name}" for name in PUBLIC_PROFILE_READS}
 
 
 #: modules that refuse oversized input only through the owning module's checks

@@ -143,7 +143,7 @@ def test_rootings_of_one_leaf_per_neighbour_equal_every_leaf_rootings():
                 expected = every_leaf_rootings(adj)
                 rootings = tuple(profiles._rooted_order(adj, v) for v in minimum_leaves(h))
                 assert rootings == expected, h
-                assert profiles._least_rooting(h) == expected[0], h
+                assert profiles._least_leaves(adj)[0] == expected[0], h
 
 
 def test_bounded_rooting_stops_exactly_when_it_exceeds_the_bound():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
 import pytest
+from oracles import prufer_tree
 
 from kneserchrom import (
     CapExceededError,
@@ -18,6 +20,7 @@ from kneserchrom import (
     is_admissible,
     kneser_psum,
     lambda_t,
+    lambda_t_tilde,
     parse_form,
     position_tree,
     reconstruct_from_invariant,
@@ -26,6 +29,9 @@ from kneserchrom import (
     tau_map,
     verify_tau_isomorphism,
 )
+from kneserchrom.graphs import _tree_code
+from kneserchrom.reconstruct import _delete_minimum_leaf
+from kneserchrom.trees import _code_lambda_t, _minimal_tree_classes
 
 P3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
 
@@ -69,6 +75,26 @@ def test_reconstruction_rejects_classes_without_trees():
     with pytest.raises(ValueError, match="is not a single tree class"):
         # a two-component class is not a tree class
         reconstruct_from_lambda_t([("2:[[0,1]]", "2:[[0,1]]")])
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        5,
+        '3:[[0,1],[1,"2"]]',
+        "3:[[0,1],[1,2.0]]",
+        "3:[[0,1],[1,null]]",
+        "3:[0,1]",
+        "3:5",
+        "3:[[false,1],[1,2]]",
+    ],
+    ids=["int", "str-symbol", "float-symbol", "null-symbol", "flat-body", "int-body", "bool-symbol"],
+)
+def test_reconstruction_rejects_malformed_class_components(component):
+    # a component that is no string, or whose pairs are not two ints each
+    # (a bool is no vertex), names no tree class
+    with pytest.raises(ValueError, match="is not a single tree class"):
+        reconstruct_from_lambda_t([(component,)])
 
 
 def test_reconstruction_rejects_a_class_with_no_blocks():
@@ -122,6 +148,50 @@ def test_reconstruction_refuses_classes_above_vertex_cap():
     path15 = "15:" + json.dumps([[i, i + 1] for i in range(14)], separators=(",", ":"))
     with pytest.raises(CapExceededError):
         reconstruct_from_lambda_t([(path15,)])
+
+
+def test_rebuild_digest_frozen():
+    # sha256 over the JSON results of reconstruct_from_lambda_t on
+    # lambda_t_tilde and on lambda_t for every tree with 2 <= n <= 9, and of
+    # reconstruct_from_invariant on both normalisations of the k = 2 series
+    # for every tree with n <= 7, each tree in its enumerated labelling and
+    # reversed; recorded when the rebuild step still read the chosen form
+    # through graph_from_form and minimum_leaves
+    digest = hashlib.sha256()
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            for g in (t, relabel(t, list(reversed(range(n))))):
+                results = []
+                if n >= 2:
+                    results += [
+                        reconstruct_from_lambda_t(lambda_t_tilde(g)[0]),
+                        reconstruct_from_lambda_t(lambda_t(g)),
+                    ]
+                if n <= 7:
+                    results += [
+                        reconstruct_from_invariant(kneser_psum(g, 2, coeffs=c))
+                        for c in ("witness", "indicator")
+                    ]
+                for r in results:
+                    digest.update(json.dumps(r.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "182f863f830f00110da2eda1109a49234bc4f3f1c63f47f023628aa3f1f003b3"
+    )
+
+
+def test_rebuild_from_fifteen_symbols():
+    # the tree classes of a 14-vertex tree have 15 symbols, one above
+    # VERTEX_CAP: the rebuild step applies no cap of its own, so past
+    # LAMBDA_T_CAP only canonical_form's and _form_code's refusals remain
+    rng = random.Random(14)
+    trees = [
+        SimpleGraph.from_edges(14, [(i, i + 1) for i in range(13)]),
+        SimpleGraph.from_edges(14, [(0, i) for i in range(1, 14)]),
+    ] + [prufer_tree([rng.randrange(14) for _ in range(12)], 14) for _ in range(4)]
+    for g in trees:
+        code = _tree_code(14, g.edges)
+        minimal = _minimal_tree_classes(_code_lambda_t(code))[0]
+        assert _tree_code(14, _delete_minimum_leaf(minimal).graph.edges) == code
 
 
 def test_reconstruction_output_is_canonical():
@@ -207,6 +277,25 @@ def test_tau_isomorphism_rejects_a_wrong_block_or_edge_count():
     assert not verify_tau_isomorphism(
         edgeless, two, AdmissibleWitness(((0, (0, 1)), (1, (1, 2))))
     )
+
+
+def test_tau_isomorphism_rejects_a_multiset_without_position_tree():
+    from kneserchrom.kneser import AdmissibleWitness
+
+    # tau = {0: 1, 1: 2, 2: 3} is a bijection onto the positions, but the
+    # blocks away from symbol 0 leave only the position edge {1, 3}
+    forest = Lambda.from_blocks(2, [(0, 1), (0, 2), (1, 3)])
+    witness = AdmissibleWitness(((0, (0, 1)), (1, (0, 2)), (2, (1, 3))))
+    assert not verify_tau_isomorphism(P3, forest, witness)
+
+
+def test_tau_isomorphism_rejects_one_element_blocks():
+    from kneserchrom.kneser import AdmissibleWitness
+
+    # 1-element blocks cut out no position tree at all
+    singletons = Lambda.from_blocks(1, [(1,), (2,)])
+    p2 = SimpleGraph.from_edges(2, [(0, 1)])
+    assert not verify_tau_isomorphism(p2, singletons, AdmissibleWitness(((0, (1,)), (1, (2,)))))
 
 
 def test_source_class_matches_min_profile():
