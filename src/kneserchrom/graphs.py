@@ -67,10 +67,11 @@ class SimpleGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        # vertices are ints, and a bool is none
+        if type(self.n) is not int or self.n < 0:
             raise ValueError("vertex count must be non-negative")
         for u, v in self.edges:
-            if not (0 <= u < v < self.n):
+            if not (type(u) is type(v) is int and 0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
 
     @staticmethod
@@ -106,12 +107,12 @@ class Multigraph:
     edges: tuple[tuple[tuple[int, int], int], ...]  # ((u,v), mult), sorted by pair
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        if type(self.n) is not int or self.n < 0:
             raise ValueError("vertex count must be non-negative")
         for (u, v), mult in self.edges:
-            if not (0 <= u < v < self.n):
+            if not (type(u) is type(v) is int and 0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if mult < 1:
+            if type(mult) is not int or mult < 1:
                 raise ValueError("edge multiplicity must be positive")
 
     @staticmethod
@@ -404,16 +405,24 @@ def canonical_form(g: SimpleGraph | Multigraph) -> str:
     return _canonical_form_cached(g.n, _weighted_edges(g, "canonical form"))[0]
 
 
-def parse_form(form: str) -> tuple[int, list[tuple[int, int]]]:
-    """Inverse of ``canonical_form``'s serialisation: (n, repeated edge pairs)."""
-    head, _, body = form.partition(":")
-    n = int(head)
-    pairs = [tuple(e) for e in json.loads(body)]
-    return n, pairs  # type: ignore[return-value]
+def parse_form(form: str) -> tuple[int, list[tuple[int, ...]]]:
+    """Inverse of ``canonical_form``'s serialisation, the one form reader:
+    ``(n, blocks)`` for ASCII digits n, ``:`` and a JSON list of blocks of
+    one or two distinct ints (no bool) in 0..n-1; else ``ValueError``."""
+    head, _, body = form.partition(":") if type(form) is str else ("", "", "")
+    try:
+        n, blocks = int(head), json.loads(body)
+    except (ValueError, RecursionError):  # RecursionError: a deeply nested body
+        n, blocks = 0, None
+    if head.isascii() and head.isdigit() and type(blocks) is list and all(
+        type(b) is list and 0 < len(b) <= 2 and _are_vertices(n, b) for b in blocks
+    ):
+        return n, [tuple(b) for b in blocks]
+    raise ValueError(f"malformed form string {form!r}")
 
 
 def graph_from_form(form: str) -> SimpleGraph | Multigraph:
-    """Materialise the canonical representative named by a form string."""
+    """Materialise the graph a form string names; ``ValueError`` if malformed."""
     n, pairs = parse_form(form)
     if any(len(p) == 1 for p in pairs):
         raise ValueError("form string does not describe a 2-uniform graph")
@@ -580,8 +589,8 @@ def component_class_string(part: Lambda) -> str:
 
 
 def _blocks_class_string(blocks) -> str:
-    """``component_class_string`` of sorted blocks known to be connected,
-    with no ``Lambda`` built; k = 2 keeps ``canonical_form``'s size checks."""
+    """``component_class_string`` of blocks known to be connected, in any
+    order, with no ``Lambda`` built; k = 2 keeps ``canonical_form``'s size checks."""
     if blocks and len(blocks[0]) == 1:
         return singleton_class_string(len(blocks))
     index = {s: i for i, s in enumerate(sorted({s for b in blocks for s in b}))}

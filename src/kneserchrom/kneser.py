@@ -333,36 +333,29 @@ def _check_series_args(n: int, edge_count: int, k: int, coeffs: str, what: str) 
 
 
 @lru_cache(maxsize=1 << 12)
-def _is_component_string(comp: str, k: int) -> bool:
-    """Whether ``comp`` is ``w:`` with w >= 1, then a non-empty JSON list of
-    at most ``PSUM_VERTEX_CAP`` blocks, each a list of k distinct ints, that
-    use exactly the symbols 0..w-1, whose symbol graph is connected and
-    which spells its own canonical class string.
+def _component_size(comp: str, k: int) -> int:
+    """The block count of ``comp`` if it is a form ``parse_form`` reads, with
+    1 to ``PSUM_VERTEX_CAP`` blocks of k symbols each, that uses all its w
+    symbols, whose symbol graph is connected and which spells its own
+    canonical class string; else 0.
 
     A series is computed only within ``PSUM_VERTEX_CAP`` vertices, one block
     per vertex, so no component has more blocks, nor (being connected) more
-    than ``PSUM_VERTEX_CAP + 1`` symbols.  The block count and the symbol
-    set are checked before any graph is built, so a short string claiming a
-    huge width, or a long cycle, is refused without allocating that width
-    or running a long canonical search.  Cached (4096 entries), so reading
-    a series cache checks each distinct string once."""
+    than ``PSUM_VERTEX_CAP + 1`` symbols.  Both counts are checked before
+    any graph is built (``parse_form`` keeps each symbol below w), so a
+    short string claiming a huge width, or a long cycle, is refused without
+    allocating that width or running a long canonical search.  Cached (4096
+    entries), so reading a series cache checks each distinct string once."""
     try:
         w, blocks = parse_form(comp)
-    except (TypeError, ValueError):
-        return False
-    well_formed = (
-        comp.partition(":")[0].isdigit()
-        and 0 < len(blocks) <= PSUM_VERTEX_CAP
-        and all(all(type(x) is int for x in b) and len(b) == len(set(b)) == k for b in blocks)
-    )
-    if not well_formed:
-        return False
-    symbols = {x for b in blocks for x in b}
-    if len(symbols) != w or symbols != set(range(w)):
-        return False
+    except ValueError:
+        return 0
+    sized = 0 < len(blocks) <= PSUM_VERTEX_CAP and all(len(b) == k for b in blocks)
+    if not (sized and len({x for b in blocks for x in b}) == w):
+        return 0
     if k == 2 and not is_connected(Multigraph.from_pairs(w, blocks).simple()):
-        return False
-    return _blocks_class_string(sorted(tuple(sorted(b)) for b in blocks)) == comp
+        return 0
+    return len(blocks) if _blocks_class_string(blocks) == comp else 0
 
 
 @dataclass
@@ -395,6 +388,9 @@ class PSeries:
 
     @staticmethod
     def from_json_dict(data: dict) -> "PSeries":
+        """The series of a ``to_json_dict`` payload; ``ValueError`` unless
+        each class is sorted and its components' ``_component_size`` block
+        counts are all non-zero and sum to n.  Repeated classes add up."""
         try:
             n, k = data["n"], data["k"]
             coeffs = data.get("coeffs", "witness")
@@ -410,11 +406,8 @@ class PSeries:
         _check_coeffs(coeffs)
         terms: dict[PClass, int] = {}
         for cls, coeff in entries:
-            valid = all(isinstance(c, str) and _is_component_string(c, k) for c in cls)
-            # a class on n vertices has n blocks, and a valid component
-            # string opens one bracket per block and one for its block list
-            valid = valid and sum(c.count("[") - 1 for c in cls) == n
-            if not (valid and cls == tuple(sorted(cls))):
+            sizes = [_component_size(c, k) if isinstance(c, str) else 0 for c in cls]
+            if not (all(sizes) and sum(sizes) == n and cls == tuple(sorted(cls))):
                 raise ValueError(
                     f"malformed series payload: bad, non-canonical or unsorted class {cls!r}"
                 )
@@ -623,13 +616,12 @@ def direct_eval(
 @lru_cache(maxsize=1 << 12)
 def _component_blocks(form: str) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """(symbol count, blocks, automorphism count) for a component string."""
-    w, pairs = parse_form(form)
-    blocks = tuple(tuple(b) for b in pairs)
+    w, blocks = parse_form(form)
     if len(blocks[0]) == 1:
         aut = 1
     else:
         aut = automorphism_count(Multigraph.from_pairs(w, blocks))
-    return w, blocks, aut
+    return w, tuple(blocks), aut
 
 
 #: labellings per piece of index tables: 6!, one cached piece for any fingerprint

@@ -55,8 +55,10 @@ def reconstruct_from_lambda_t(classes) -> ReconstructionResult:
     named by their canonical forms however they were spelled; from the
     canonically smallest one, the label-smallest minimum leaf of its
     canonical representative is deleted and the rest relabelled in label
-    order.  Classes on different symbol counts raise ``ValueError``, and a
-    class on more than ``VERTEX_CAP`` symbols ``CapExceededError``.
+    order.  ``classes`` that is not iterable, a class that is not a tuple or
+    a list of one tree's form string, and classes on different symbol
+    counts raise ``ValueError``, and a class on more than ``VERTEX_CAP``
+    symbols ``CapExceededError``.
     """
     return _delete_minimum_leaf(_minimal_profile(classes)[0])
 

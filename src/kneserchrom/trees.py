@@ -43,18 +43,16 @@ def _check_tree_cap(n: int, what: str) -> None:
 
 def _form_code(form) -> str | None:
     """The centre-rooted code of the tree a form string names, or None when
-    it names no tree, is no string, or holds a pair that is not two ints (a
-    bool is no vertex).  A form on more than ``VERTEX_CAP`` symbols raises
+    ``parse_form`` refuses it, a block is not a pair, or the pairs span no
+    tree.  A form on more than ``VERTEX_CAP`` symbols raises
     ``CapExceededError`` before any code is built: ``canonical_form`` could
     not name it."""
-    if not isinstance(form, str):
-        return None
     try:
         n, pairs = parse_form(form)
-    except (TypeError, ValueError):
+    except ValueError:
         return None
     _check_vertex_cap(n, "tree classes")
-    if not all(len(p) == 2 and type(p[0]) is type(p[1]) is int for p in pairs):
+    if not all(len(p) == 2 for p in pairs):
         return None
     return _tree_code(n, pairs)
 
@@ -189,11 +187,17 @@ def _minimal_profile(classes) -> tuple[TreeClasses, tuple[int, ...]]:
     canonical forms however ``classes`` spells them, and that profile.
 
     Raises ``ValueError`` unless ``classes`` is a non-empty iterable of
-    single tree classes on one symbol count of at least two, and
-    ``CapExceededError`` for a class on more than ``VERTEX_CAP`` symbols."""
+    single tree classes, each a tuple or a list of one form string, on one
+    symbol count of at least two, and ``CapExceededError`` for a class on
+    more than ``VERTEX_CAP`` symbols."""
+    try:
+        classes = [tuple(cls) if isinstance(cls, list) else cls for cls in classes]
+    except TypeError:
+        msg = f"tree classes must be an iterable of classes (got {classes!r})"
+        raise ValueError(msg) from None
     codes = set()
-    for cls in map(tuple, classes):
-        code = _form_code(cls[0]) if len(cls) == 1 else None
+    for cls in classes:
+        code = _form_code(cls[0]) if isinstance(cls, tuple) and len(cls) == 1 else None
         if code in (None, "()"):  # a tree class has at least two symbols
             raise ValueError(f"{cls!r} is not a single tree class")
         codes.add(code)

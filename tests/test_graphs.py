@@ -440,6 +440,14 @@ def test_lambda_validation():
             lambda: component_class_string(Lambda(1, ((0,), (1,)))),
             "1-uniform component must use a single symbol",
         ),
+        # a vertex is an int, and a bool is none
+        (lambda: SimpleGraph(2.5, frozenset()), "vertex count must be non-negative"),
+        (lambda: SimpleGraph.from_edges(3, [(0.5, 1)]), "edge (0.5,1) out of range for n=3"),
+        (lambda: SimpleGraph.from_edges(3, [(False, 1)]), "edge (False,1) out of range for n=3"),
+        (lambda: Multigraph(True, ()), "vertex count must be non-negative"),
+        (lambda: Multigraph(3, (((0, 1.0), 1),)), "edge (0,1.0) out of range for n=3"),
+        (lambda: Multigraph(3, (((0, 1), 1.0),)), "edge multiplicity must be positive"),
+        (lambda: Multigraph(3, (((0, 1), True),)), "edge multiplicity must be positive"),
     ],
     ids=[
         "simple-negative-n",
@@ -452,12 +460,49 @@ def test_lambda_validation():
         "canonical-form-empty",
         "form-not-2-uniform",
         "1-uniform-two-symbols",
+        "simple-float-n",
+        "simple-float-vertex",
+        "simple-bool-vertex",
+        "multigraph-bool-n",
+        "multigraph-float-vertex",
+        "multigraph-float-multiplicity",
+        "multigraph-bool-multiplicity",
     ],
 )
 def test_value_refusals(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+#: strings outside the form grammar, by id
+MALFORMED_FORMS = {
+    "int": 5,
+    "none": None,
+    "no-colon": "3",
+    "int-body": "3:5",
+    "flat-body": "3:[0,1]",
+    "letter-head": "x:[]",
+    "space-head": " 3:[[0,1]]",
+    "plus-head": "+3:[[0,1]]",
+    "underscore-head": "1_0:[]",
+    "non-ascii-digit-head": "\u0663:[]",  # int() reads it as 3
+    "bool-symbol": "3:[[0,1],[1,true]]",
+    "float-symbol": "3:[[0,1],[1,2.0]]",
+    "repeated-symbol": "2:[[0,0]]",
+    "symbol-out-of-range": "2:[[0,2]]",
+    "three-symbol-block": "3:[[0,1,2]]",
+    "empty-block": "3:[[]]",
+    "deeply-nested-body": "3:" + "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("form", MALFORMED_FORMS.values(), ids=MALFORMED_FORMS.keys())
+def test_malformed_form_strings_are_refused(form):
+    with pytest.raises(ValueError, match="^malformed form string"):
+        parse_form(form)
+    with pytest.raises(ValueError, match="^malformed form string"):
+        graph_from_form(form)
 
 
 def test_connected_components_of_block_multiset():

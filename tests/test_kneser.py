@@ -65,6 +65,7 @@ from kneserchrom import kneser, trees
 from kneserchrom.kneser import (
     AdmissibleWitness,
     PSUM_SUBSET_CAP,
+    _component_size,
     _component_weights,
     _merge_expansion,
     _merge_images,
@@ -75,6 +76,7 @@ from kneserchrom.kneser import (
     _search_order,
 )
 from kneserchrom.trees import _form_code, _lambda_t_codes
+from test_graphs import MALFORMED_FORMS
 
 K2 = SimpleGraph.from_edges(2, [(0, 1)])
 P3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
@@ -673,6 +675,17 @@ def test_pseries_json_round_trip():
         PSeries.from_json('{"n": 2, "k": 3, "terms": []}')
     with pytest.raises(ValueError):
         PSeries.from_json('{"n": 2, "k": 2, "terms": [{"class": ["x"], "coeff": 1}]}')
+
+
+def test_component_size_is_the_block_count_of_every_series_component():
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            for k in (1, 2):
+                for cls in kneser_psum(g, k).terms:
+                    for comp in cls:
+                        assert _component_size(comp, k) == len(parse_form(comp)[1])
+    for form in MALFORMED_FORMS.values():
+        assert _component_size(form, 1) == _component_size(form, 2) == 0
 
 
 # ---------------------------------------------------------------------------

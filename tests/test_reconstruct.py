@@ -97,6 +97,23 @@ def test_reconstruction_rejects_malformed_class_components(component):
         reconstruct_from_lambda_t([(component,)])
 
 
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ([5], "5 is not a single tree class"),
+        (5, "tree classes must be an iterable of classes (got 5)"),
+        ([None], "None is not a single tree class"),
+        ([("3:[[0,1],[1,2]]",), 7], "7 is not a single tree class"),
+    ],
+    ids=["int-class", "int-classes", "none-class", "int-after-a-class"],
+)
+def test_reconstruction_rejects_classes_that_are_not_tuples_or_lists(classes, message):
+    # a class is a tuple or a list of component strings
+    with pytest.raises(ValueError) as exc:
+        reconstruct_from_lambda_t(classes)
+    assert str(exc.value) == message
+
+
 def test_reconstruction_rejects_a_class_with_no_blocks():
     # a tree class of an n-vertex tree has n + 1 >= 2 symbols
     with pytest.raises(ValueError, match=r"^\('1:\[\]',\) is not a single tree class$"):
