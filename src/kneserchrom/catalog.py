@@ -20,7 +20,7 @@ from .generate import enumerate_graphs, enumerate_trees
 from .graph6 import parse_graph6, write_graph6
 from .graphs import (
     SimpleGraph,
-    _check_simple,
+    _as_simple,
     _tree_code,
     canonical_form,
     graph_from_form,
@@ -87,8 +87,7 @@ def canonical_graph6(g: SimpleGraph) -> str:
     which ``write_graph6`` gives directly for an enumerated representative.
     A multigraph with a repeated edge raises ``ValueError``: graph6 cannot
     spell it."""
-    _check_simple(g, "canonical graph6")
-    return write_graph6(graph_from_form(canonical_form(g)))
+    return write_graph6(graph_from_form(canonical_form(_as_simple(g, "canonical graph6"))))
 
 
 class SeriesCache:

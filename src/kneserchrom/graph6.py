@@ -13,7 +13,7 @@ the printable 63..126 range each carry their own message.
 
 from __future__ import annotations
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _as_simple
 
 HEADER = ">>graph6<<"
 
@@ -81,6 +81,7 @@ def parse_graph6(s: str) -> SimpleGraph:
 
 def write_graph6(g: SimpleGraph) -> str:
     """Encode a simple graph; inverse of ``parse_graph6`` on its output."""
+    g = _as_simple(g, "graph6")
     n = g.n
     if n <= 62:
         head = chr(n + 63)

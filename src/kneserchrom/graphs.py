@@ -30,6 +30,7 @@ huge inputs from hanging the process.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -201,7 +202,8 @@ def _components(adj: list[list[int]]) -> list[list[int]]:
 
 def graph_components(g: SimpleGraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    return [sorted(comp) for comp in _components(g.adjacency())]
+    adj = _as_simple(g, "connectivity").adjacency()
+    return [sorted(comp) for comp in _components(adj)]
 
 
 def connected_components(lam: Lambda) -> list[Lambda]:
@@ -340,11 +342,15 @@ def _check_vertex_cap(n: int, what: str) -> None:
         raise CapExceededError(f"{what} capped at {VERTEX_CAP} vertices (got {n})")
 
 
-def _check_simple(g: SimpleGraph | Multigraph, what: str) -> None:
-    """Refuse a multigraph with a repeated edge: ``what`` is defined on
-    simple graphs, whose canonical representative has no such edge."""
-    if isinstance(g, Multigraph) and any(mult > 1 for _, mult in g.edges):
+def _as_simple(g: SimpleGraph | Multigraph, what: str) -> SimpleGraph:
+    """``g`` as a simple graph: a multigraph with no repeated edge is read as
+    its simple graph, and one with a repeated edge is refused, since
+    ``what`` is defined on simple graphs only."""
+    if not isinstance(g, Multigraph):
+        return g
+    if any(mult > 1 for _, mult in g.edges):
         raise ValueError(f"{what} needs a simple graph (got a repeated edge)")
+    return g.simple()
 
 
 def _weighted_edges(g: SimpleGraph | Multigraph, what: str) -> tuple:
@@ -418,7 +424,7 @@ def parse_form(form: str) -> tuple[int, list[tuple[int, ...]]]:
         type(b) is list and 0 < len(b) <= 2 and _are_vertices(n, b) for b in blocks
     ):
         return n, [tuple(b) for b in blocks]
-    raise ValueError(f"malformed form string {form!r}")
+    raise ValueError(f"malformed form string {_quote(form)}")
 
 
 def graph_from_form(form: str) -> SimpleGraph | Multigraph:
@@ -541,6 +547,17 @@ def _code_adjacency(code: str) -> list[list[int]]:
     return adj
 
 
+_SHORT_REPR = reprlib.Repr()
+_SHORT_REPR.maxstring = _SHORT_REPR.maxother = 60
+
+
+def _quote(value) -> str:
+    """``repr(value)`` for error messages, cut short in the middle of any
+    string or other repr past 60 characters and of any long container, so
+    that a huge input is quoted only in part."""
+    return _SHORT_REPR.repr(value)
+
+
 def _are_vertices(n: int, vertices: list) -> bool:
     """Whether ``vertices`` are distinct ints in 0..n-1; a bool is none."""
     return len({v for v in vertices if type(v) is int and 0 <= v < n}) == len(vertices)
@@ -549,6 +566,7 @@ def _are_vertices(n: int, vertices: list) -> bool:
 def relabel(g: SimpleGraph, perm: dict[int, int] | list[int]) -> SimpleGraph:
     """Apply a vertex bijection (``perm[v]`` = new label of ``v``), given as
     a list or a dict; ``ValueError`` unless it maps 0..n-1 onto itself."""
+    g = _as_simple(g, "relabelling")
     perm = dict(perm.items() if isinstance(perm, dict) else enumerate(perm))
     if set(perm) != set(range(g.n)) or not _are_vertices(g.n, list(perm.values())):
         raise ValueError(f"relabelling is not a bijection of 0..{g.n - 1}")
@@ -558,6 +576,7 @@ def relabel(g: SimpleGraph, perm: dict[int, int] | list[int]) -> SimpleGraph:
 def induced_subgraph(g: SimpleGraph, vertices: list[int]) -> SimpleGraph:
     """Induced subgraph relabelled onto 0..len(vertices)-1 in sorted order;
     ``ValueError`` unless the vertices are distinct and in range."""
+    g = _as_simple(g, "induced subgraph")
     vs = sorted(vertices)
     if not _are_vertices(g.n, vs):
         raise ValueError(f"induced subgraph needs distinct vertices in 0..{g.n - 1}")

@@ -68,11 +68,12 @@ from .graphs import (
     Lambda,
     Multigraph,
     SimpleGraph,
+    _as_simple,
     _bfs,
     _blocks_class_string,
     _check_k,
-    _check_simple,
     _components,
+    _quote,
     _tree_form,
     automorphism_count,
     canonical_form,
@@ -112,6 +113,7 @@ class AdmissibleWitness:
     def realises(self, lam: Lambda, g: SimpleGraph) -> bool:
         """True when this is a bijection of V(G) onto the blocks of ``lam``
         (as a multiset) with intersecting blocks on every edge of ``g``."""
+        g = _as_simple(g, "a witness check")
         phi = self.mapping()
         return (
             len(self.assignment) == g.n
@@ -236,6 +238,7 @@ def is_admissible(lam: Lambda, g: SimpleGraph) -> AdmissibleWitness | None:
     from the first of a search over the blocks one by one, the decision
     does not.
     """
+    g = _as_simple(g, "admissibility")
     if len(lam.blocks) != g.n:
         raise ValueError(
             f"block count {len(lam.blocks)} must equal vertex count {g.n}"
@@ -333,11 +336,12 @@ def _check_series_args(n: int, edge_count: int, k: int, coeffs: str, what: str) 
 
 
 @lru_cache(maxsize=1 << 12)
-def _component_size(comp: str, k: int) -> int:
-    """The block count of ``comp`` if it is a form ``parse_form`` reads, with
-    1 to ``PSUM_VERTEX_CAP`` blocks of k symbols each, that uses all its w
-    symbols, whose symbol graph is connected and which spells its own
-    canonical class string; else 0.
+def _component_blocks(form: str) -> tuple[int, tuple[tuple[int, ...], ...], int, str]:
+    """(symbol count w, blocks, automorphism count, class string) of a
+    series component, the one reader of component strings: ``ValueError``
+    unless ``parse_form`` reads ``form`` and it has 1 to ``PSUM_VERTEX_CAP``
+    blocks of one size that use all w symbols, with a connected symbol graph
+    (one symbol for singleton blocks).
 
     A series is computed only within ``PSUM_VERTEX_CAP`` vertices, one block
     per vertex, so no component has more blocks, nor (being connected) more
@@ -345,17 +349,15 @@ def _component_size(comp: str, k: int) -> int:
     any graph is built (``parse_form`` keeps each symbol below w), so a
     short string claiming a huge width, or a long cycle, is refused without
     allocating that width or running a long canonical search.  Cached (4096
-    entries), so reading a series cache checks each distinct string once."""
-    try:
-        w, blocks = parse_form(comp)
-    except ValueError:
-        return 0
-    sized = 0 < len(blocks) <= PSUM_VERTEX_CAP and all(len(b) == k for b in blocks)
-    if not (sized and len({x for b in blocks for x in b}) == w):
-        return 0
-    if k == 2 and not is_connected(Multigraph.from_pairs(w, blocks).simple()):
-        return 0
-    return len(blocks) if _blocks_class_string(blocks) == comp else 0
+    entries), so each distinct string is read once."""
+    w, blocks = parse_form(form)
+    sized = 0 < len(blocks) <= PSUM_VERTEX_CAP and len({len(b) for b in blocks}) == 1
+    if not (sized and len({s for b in blocks for s in b}) == w and (
+        w == 1 or len(blocks[0]) == 2 and is_connected(SimpleGraph.from_edges(w, blocks))
+    )):
+        raise ValueError(f"not a series component: {_quote(form)}")
+    aut = 1 if w == 1 else automorphism_count(Multigraph.from_pairs(w, blocks))
+    return w, tuple(blocks), aut, _blocks_class_string(blocks)
 
 
 @dataclass
@@ -388,9 +390,10 @@ class PSeries:
 
     @staticmethod
     def from_json_dict(data: dict) -> "PSeries":
-        """The series of a ``to_json_dict`` payload; ``ValueError`` unless
-        each class is sorted and its components' ``_component_size`` block
-        counts are all non-zero and sum to n.  Repeated classes add up."""
+        """The series of a ``to_json_dict`` payload; ``ValueError`` unless n
+        is 1 to ``PSUM_VERTEX_CAP`` and each class is sorted, its components'
+        ``_component_blocks`` spell their class strings with blocks of k
+        symbols, and their block counts sum to n.  Repeated classes add up."""
         try:
             n, k = data["n"], data["k"]
             coeffs = data.get("coeffs", "witness")
@@ -398,18 +401,25 @@ class PSeries:
             # int() would truncate 1.9 or true; bool is a subclass of int
             if any(type(x) is not int for x in (n, k, *(c for _, c in entries))):
                 raise TypeError("n, k and every coeff must be integers")
-            if n < 1:
-                raise ValueError(f"a series needs at least one vertex (got n = {n})")
+            if not 1 <= n <= PSUM_VERTEX_CAP:
+                raise ValueError(
+                    f"a series has 1 to {PSUM_VERTEX_CAP} vertices (got n = {_quote(n)})"
+                )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed series payload: {exc}") from exc
         _check_k(k)
         _check_coeffs(coeffs)
         terms: dict[PClass, int] = {}
         for cls, coeff in entries:
-            sizes = [_component_size(c, k) if isinstance(c, str) else 0 for c in cls]
-            if not (all(sizes) and sum(sizes) == n and cls == tuple(sorted(cls))):
+            try:
+                read = [_component_blocks(c) for c in cls]
+            except (TypeError, ValueError):  # TypeError: a list or dict is unhashable
+                read = []
+            # every component was read, so each is a string and cls sorts
+            fits = read and sum(len(r[1]) for r in read) == n and cls == tuple(sorted(cls))
+            if not (fits and all(s == c and len(b[0]) == k for (_, b, _, s), c in zip(read, cls))):
                 raise ValueError(
-                    f"malformed series payload: bad, non-canonical or unsorted class {cls!r}"
+                    f"malformed series payload: bad, non-canonical or unsorted class {_quote(cls)}"
                 )
             terms[cls] = terms.get(cls, 0) + coeff
         # a class listed more than once may cancel; no series stores a zero
@@ -513,9 +523,8 @@ def kneser_psum(g: SimpleGraph | Multigraph, k: int, *, coeffs: str = "witness")
     spanning subgraphs.  A multigraph with a repeated edge raises
     ``ValueError`` before any work.
     """
-    _check_simple(g, "power-sum expansion")
+    g = _as_simple(g, "power-sum expansion")
     _check_series_args(g.n, len(g.edges), k, coeffs, "power-sum expansion")
-    g = g.simple() if isinstance(g, Multigraph) else g
     terms = _psum_k1(g) if k == 1 else _psum_subsets(g, k, coeffs == "witness")
     return PSeries(g.n, k, coeffs, terms)
 
@@ -585,6 +594,7 @@ def direct_eval(
     used as the ground-truth oracle.
     """
     _check_k(k)
+    g = _as_simple(g, "direct evaluation")
     vals = [v % FIXED_PRIME for v in _value_tuple(m, k, values)]
     blocks = block_universe(m, k)
     sets = [set(b) for b in blocks]
@@ -611,17 +621,6 @@ def direct_eval(
         extend(start, 1)
         total = total * comp_total % FIXED_PRIME
     return total
-
-
-@lru_cache(maxsize=1 << 12)
-def _component_blocks(form: str) -> tuple[int, tuple[tuple[int, ...], ...], int]:
-    """(symbol count, blocks, automorphism count) for a component string."""
-    w, blocks = parse_form(form)
-    if len(blocks[0]) == 1:
-        aut = 1
-    else:
-        aut = automorphism_count(Multigraph.from_pairs(w, blocks))
-    return w, tuple(blocks), aut
 
 
 #: labellings per piece of index tables: 6!, one cached piece for any fingerprint
@@ -668,7 +667,7 @@ def _orbit_sum(form: str, m: int, vals: tuple[int, ...]) -> int:
     4096 entries, so a component evaluated at the same value map is summed
     once across series, fingerprints and collision searches.
     """
-    w, blocks, aut = _component_blocks(form)
+    w, blocks, aut = _component_blocks(form)[:3]
     if w > m:
         return 0
     flat = [0] * (m + 1) ** 2
@@ -784,10 +783,10 @@ def _merge_expansion(t_class: PClass, comp: str) -> tuple[tuple[PClass, int], ..
     owner: list[int] = []  # T's symbol -> index of its component
     t_blocks: list[list[tuple[int, ...]]] = []  # each component on its interval
     for i, part in enumerate(t_class):
-        w, pairs = parse_form(part)
+        w, pairs = _component_blocks(part)[:2]
         t_blocks.append([tuple(s + len(owner) for s in b) for b in pairs])
         owner += [i] * w
-    w_c, c_pairs = parse_form(comp)
+    w_c, c_pairs = _component_blocks(comp)[:2]
     overlays = Counter(
         tuple(sorted(tuple(sorted(image[s] for s in b)) for b in c_pairs))
         for image in _merge_images(len(owner), w_c)

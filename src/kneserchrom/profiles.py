@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import SimpleGraph, _check_vertex_cap, _tree_adjacency
+from .graphs import SimpleGraph, _as_simple, _check_vertex_cap, _tree_adjacency
 
 DegreeProfile = tuple[int, ...]
 
@@ -66,7 +66,7 @@ def _tree_lists(g: SimpleGraph) -> list[list[int]]:
     """Adjacency lists of the tree ``g``, refused above ``VERTEX_CAP``
     before any work: every profile roots the tree at each leaf."""
     _check_vertex_cap(g.n, "tree profiles")
-    adj = _tree_adjacency(g.n, g.edges)
+    adj = _tree_adjacency(g.n, _as_simple(g, "tree profiles").edges)
     if adj is None:
         raise ValueError("operation defined for trees only")
     return adj

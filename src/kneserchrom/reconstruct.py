@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Lambda, SimpleGraph, induced_subgraph, is_tree, parse_form
+from .graphs import Lambda, SimpleGraph, _as_simple, induced_subgraph, is_tree, parse_form
 from .kneser import AdmissibleWitness, PClass, PSeries
 from .profiles import _least_leaves
 from .trees import _minimal_profile, _minimal_tree_classes, _series_tree_codes
@@ -132,6 +132,7 @@ def verify_tau_isomorphism(
     position tree and a witness that does not give each vertex of G exactly
     one block.
     """
+    g = _as_simple(g, "the position-map check")
     n = g.n
     if len(lam.blocks) != n or len(g.edges) != n - 1:
         return False

@@ -18,10 +18,12 @@ from functools import lru_cache
 from .graphs import (
     CapExceededError,
     SimpleGraph,
+    _as_simple,
     _centre_rooted,
     _check_vertex_cap,
     _code_adjacency,
     _code_children,
+    _quote,
     _tree_code,
     _tree_form,
     is_tree,
@@ -79,6 +81,7 @@ def _lambda_t_codes(g: SimpleGraph) -> frozenset[str] | None:
     when G is not a tree (see ``_code_lambda_t``).  Raises
     ``CapExceededError`` for a tree above ``LAMBDA_T_CAP`` vertices before
     its code is built."""
+    g = _as_simple(g, "tree-class extraction")
     if not is_tree(g):
         return None
     _check_tree_cap(g.n, "tree-class extraction")
@@ -193,13 +196,13 @@ def _minimal_profile(classes) -> tuple[TreeClasses, tuple[int, ...]]:
     try:
         classes = [tuple(cls) if isinstance(cls, list) else cls for cls in classes]
     except TypeError:
-        msg = f"tree classes must be an iterable of classes (got {classes!r})"
+        msg = f"tree classes must be an iterable of classes (got {_quote(classes)})"
         raise ValueError(msg) from None
     codes = set()
     for cls in classes:
         code = _form_code(cls[0]) if isinstance(cls, tuple) and len(cls) == 1 else None
         if code in (None, "()"):  # a tree class has at least two symbols
-            raise ValueError(f"{cls!r} is not a single tree class")
+            raise ValueError(f"{_quote(cls)} is not a single tree class")
         codes.add(code)
     if len({code.count("(") for code in codes}) > 1:
         raise ValueError("tree classes on different symbol counts")

@@ -23,23 +23,34 @@ from kneserchrom import (
     Multigraph,
     SimpleGraph,
     are_isomorphic,
+    augment_tree_lambda,
     automorphism_count,
     canonical_form,
     component_class_string,
     connected_components,
+    direct_eval,
     enumerate_graphs,
     enumerate_trees,
     graph_components,
     graph_from_form,
     induced_subgraph,
+    is_admissible,
     is_connected,
     is_tree,
     lambda_class,
+    lambda_t,
+    lambda_t_tilde,
+    min_degree_sequence,
+    min_rooted_degree_sequence,
+    minimum_leaves,
     parse_form,
+    random_values,
     relabel,
     rooted_order,
     singleton_class_string,
+    verify_tau_isomorphism,
 )
+from kneserchrom.graph6 import write_graph6
 from kneserchrom import graphs
 from kneserchrom.graphs import (
     _canonical_edge_list,
@@ -503,6 +514,46 @@ def test_malformed_form_strings_are_refused(form):
         parse_form(form)
     with pytest.raises(ValueError, match="^malformed form string"):
         graph_from_form(form)
+
+
+def _witness_call(check):
+    """``check(g, lam, witness)`` on the augmented multiset of the path P3
+    and its witness, both taken from the simple path."""
+    p3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    lam = augment_tree_lambda(p3).lam
+    witness = is_admissible(lam, p3)
+    return lambda g: check(g, lam, witness)
+
+
+#: every public function that reads a graph as a simple graph, by name
+SIMPLE_GRAPH_READERS = {
+    "write_graph6": write_graph6,
+    "induced_subgraph": lambda g: induced_subgraph(g, [0, 1]),
+    "relabel": lambda g: relabel(g, [2, 0, 1]),
+    "is_connected": is_connected,
+    "graph_components": graph_components,
+    "rooted_order": lambda g: rooted_order(g, 0),
+    "min_rooted_degree_sequence": lambda g: min_rooted_degree_sequence(g, 0),
+    "min_degree_sequence": min_degree_sequence,
+    "minimum_leaves": minimum_leaves,
+    "augment_tree_lambda": augment_tree_lambda,
+    "lambda_t": lambda_t,
+    "lambda_t_tilde": lambda_t_tilde,
+    "is_admissible": lambda g: is_admissible(Lambda.from_blocks(2, [(0, 1), (1, 2), (2, 3)]), g),
+    "direct_eval": lambda g: direct_eval(g, 2, 5, random_values(2, 5, seed=3)),
+    "verify_tau_isomorphism": _witness_call(verify_tau_isomorphism),
+    "realises": _witness_call(lambda g, lam, witness: witness.realises(lam, g)),
+}
+
+
+@pytest.mark.parametrize(
+    "call", SIMPLE_GRAPH_READERS.values(), ids=SIMPLE_GRAPH_READERS.keys()
+)
+def test_multigraph_without_repeated_edge_reads_as_its_simple_graph(call):
+    mg = Multigraph.from_pairs(3, [(0, 1), (1, 2)])
+    assert call(mg) == call(mg.simple())
+    with pytest.raises(ValueError, match=r"needs a simple graph \(got a repeated edge\)$"):
+        call(Multigraph.from_pairs(3, [(0, 1), (0, 1), (1, 2)]))
 
 
 def test_connected_components_of_block_multiset():

@@ -58,6 +58,7 @@ from kneserchrom import (
     parse_graph6,
     pseries_eval,
     random_values,
+    reconstruct_from_lambda_t,
     true_basis,
     verify_tau_isomorphism,
 )
@@ -65,7 +66,7 @@ from kneserchrom import kneser, trees
 from kneserchrom.kneser import (
     AdmissibleWitness,
     PSUM_SUBSET_CAP,
-    _component_size,
+    _component_blocks,
     _component_weights,
     _merge_expansion,
     _merge_images,
@@ -683,9 +684,47 @@ def test_component_size_is_the_block_count_of_every_series_component():
             for k in (1, 2):
                 for cls in kneser_psum(g, k).terms:
                     for comp in cls:
-                        assert _component_size(comp, k) == len(parse_form(comp)[1])
+                        _, blocks, _, name = _component_blocks(comp)
+                        assert name == comp and len(blocks) == len(parse_form(comp)[1])
     for form in MALFORMED_FORMS.values():
-        assert _component_size(form, 1) == _component_size(form, 2) == 0
+        with pytest.raises(ValueError):
+            _component_blocks(form)
+
+
+def test_component_reader_refuses_oversized_components_before_any_search(monkeypatch):
+    # a 12-cycle and a 21-vertex path have more blocks than any series
+    # component, and one block cannot use 999999999 symbols
+    def no_search(*args):
+        raise AssertionError("canonical search on an oversized component")
+
+    monkeypatch.setattr(kneserchrom.graphs, "_canonical_edge_list", no_search)
+    cycle12 = "12:" + json.dumps([[i, (i + 1) % 12] for i in range(12)], separators=(",", ":"))
+    path21 = "21:" + json.dumps([[i, i + 1] for i in range(20)], separators=(",", ":"))
+    for form in (cycle12, path21, "999999999:[[0,1]]"):
+        with pytest.raises(ValueError, match="^not a series component"):
+            _component_blocks(form)
+
+
+def test_series_payload_above_the_vertex_cap_is_refused():
+    # two 4-block stars make a well-formed class on 8 blocks, but no series
+    # is computed on 8 vertices, so true_basis would merge outside the cap
+    star = "5:[[0,4],[1,4],[2,4],[3,4]]"
+    payload = {"n": 8, "k": 2, "terms": [{"class": [star, star], "coeff": 1}]}
+    with pytest.raises(ValueError, match=r"^malformed series payload: a series has 1 to 7 vertices"):
+        PSeries.from_json_dict(payload)
+
+
+def test_long_malformed_inputs_are_quoted_in_part():
+    body = MALFORMED_FORMS["deeply-nested-body"]
+    payload = {"n": 3, "k": 2, "terms": [{"class": [body], "coeff": 1}]}
+    for call in (
+        lambda: parse_form(body),
+        lambda: PSeries.from_json_dict(payload),
+        lambda: reconstruct_from_lambda_t([(body,)]),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert len(str(exc.value)) < 300, len(str(exc.value))
 
 
 # ---------------------------------------------------------------------------
